@@ -37,7 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateMeasureError, MalformedCurveError, SingularPointError
 from .develop import develop_btz, develop_btz_inverse
 from .models import ModelPoint, TubeRegion, TWO_PI, in_region, is_valid_cone_angle
@@ -382,6 +381,28 @@ def _sample_pool(region: TubeRegion, n: int, seed: int):
     return tau, r, th
 
 
+def _count_members(tau, r, th, tp, rp, hp, future):
+    """Pool points in J+(p) (``future``) or J-(p) of the query p = (tp, rp, hp).
+
+    Applies the closed-form relation of the module docstring exactly, without
+    the tolerance fence of :func:`btz_causal_future`.
+    """
+    if future:
+        (ta, ra, ha), (tb, rb, hb) = (tp, rp, hp), (tau, r, th)
+    else:
+        (ta, ra, ha), (tb, rb, hb) = (tau, r, th), (tp, rp, hp)
+    dt = tb - ta
+    line_a = np.equal(ra, 0.0)  # a numpy bool for the scalar side, so ~ negates
+    line_b = np.equal(rb, 0.0)
+    phi = _wrap_pi(hb - ha)
+    dr = rb - ra
+    regular = ~line_a & ~line_b & (dt > 0.0) & (dr >= 0.0)
+    regular &= ra * rb * phi**2 <= dr * (2.0 * dt - dr)
+    exit_ = line_a & ~line_b & (dt >= 0.5 * rb)
+    along = line_a & line_b & (dt >= 0.0)
+    return int(np.count_nonzero(regular | exit_ | along))
+
+
 def _line_overlaps(region: TubeRegion, tp, rp):
     """Exact lengths of J-(p) and J+(p) intersected with the singular line."""
     a, b = region.t_min, region.t_max
@@ -420,7 +441,7 @@ def volume_time_report(
 
     sides = {}
     for side, future in (("past", False), ("future", True)):
-        count = _kernels.count_causal_members(tau, r, th, tp, rp, hp, future)
+        count = _count_members(tau, r, th, tp, rp, hp, future)
         frac = count / n
         mc = config.weight3 * vol3 * frac
         se = config.weight3 * vol3 * math.sqrt(frac * (1.0 - frac) / n)

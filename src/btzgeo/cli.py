@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,15 +75,61 @@ def _dump(report, out=None):
 
 
 # =========================================================================
+# Argument types: a bad value is a usage error (exit 2), not a traceback
+# =========================================================================
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _json_file(build):
+    """Argument type that reads a JSON file and returns ``build(data)``.
+
+    A missing or unreadable file, malformed JSON, a non-finite number, or
+    data that ``build`` rejects all become usage errors.
+    """
+
+    def load(path):
+        try:
+            data = json.loads(
+                Path(path).read_text(),
+                parse_float=_finite_float,
+                parse_constant=_finite_float,
+            )
+            return build(data)
+        except (
+            argparse.ArgumentTypeError, OSError, ArithmeticError,
+            AttributeError, LookupError, TypeError, ValueError,
+        ) as err:
+            raise argparse.ArgumentTypeError(f"cannot load {path}: {err}") from None
+
+    return load
+
+
+# =========================================================================
 # File formats
 # =========================================================================
 
 
-def _boundary_from_file(path):
+def _boundary_from_data(data):
     """Boundary file: {"constant": c, "cos": [a1, ...], "sin": [b1, ...]}."""
-    if path is None:
-        return BoundaryCurve.from_trig(0.0, (), ())
-    data = json.loads(Path(path).read_text())
     return BoundaryCurve.from_trig(
         data.get("constant", 0.0), data.get("cos", ()), data.get("sin", ())
     )
@@ -116,8 +163,7 @@ def _surface_to_file(surface, path, n_r=128, n_theta=128):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _surface_from_file(path) -> GraphSurface:
-    data = json.loads(Path(path).read_text())
+def _surface_from_data(data) -> GraphSurface:
     n_r, n_theta = data["grid_shape"]
     rows = np.asarray(data["grid"], dtype=float).reshape(n_r, n_theta, 3)
     return GraphSurface.from_grid(
@@ -141,8 +187,7 @@ def _chart_to_dict(chart: TubeChart) -> dict:
     }
 
 
-def _chart_from_file(path) -> TubeChart:
-    d = json.loads(Path(path).read_text())
+def _chart_from_data(d) -> TubeChart:
     return TubeChart(
         d["angle"],
         d["radius"],
@@ -151,6 +196,12 @@ def _chart_from_file(path) -> TubeChart:
         d["has_singular_line"],
         LorentzIsometry(np.asarray(d["holonomy"], dtype=float)),
     )
+
+
+_boundary_file = _json_file(_boundary_from_data)
+_surface_file = _json_file(_surface_from_data)
+_chart_file = _json_file(_chart_from_data)
+_FLAT_BOUNDARY = BoundaryCurve.from_trig()
 
 
 def _write_csv(path, header, rows):
@@ -287,12 +338,11 @@ def _cmd_develop_holonomy(args):
 
 
 def _cmd_surface_check(args):
-    surface = _surface_from_file(args.surface)
+    surface = args.surface
     n = args.grid or 256
     min_delta, min_r2delta = min_spacelike_slack(surface, n_r=n, n_theta=n)
     report = {
         "command": "surface check",
-        "surface": str(args.surface),
         "alpha": surface.alpha,
         "R": surface.radius,
         "punctured": surface.punctured,
@@ -308,8 +358,7 @@ def _cmd_surface_check(args):
 
 
 def _cmd_surface_extend(args):
-    boundary = _boundary_from_file(args.boundary)
-    surface = extend_boundary_complete(boundary, args.R)
+    surface = extend_boundary_complete(args.boundary, args.R)
     n = args.grid or 128
     _, min_r2delta = min_spacelike_slack(surface, n_r=256, n_theta=256)
     if args.out:
@@ -327,9 +376,8 @@ def _cmd_surface_extend(args):
 
 
 def _cmd_surface_cap(args):
-    boundary = _boundary_from_file(args.boundary)
     try:
-        surface = extend_boundary_cap(boundary, args.R)
+        surface = extend_boundary_cap(args.boundary, args.R)
     except CertificationError as err:
         _dump({"command": "surface cap", "error": str(err)}, None)
         return 1
@@ -348,10 +396,8 @@ def _cmd_surface_cap(args):
 
 
 def _cmd_surface_assemble(args):
-    outer = _surface_from_file(args.outer)
-    inner = _surface_from_file(args.inner)
     try:
-        comp = assemble_cauchy(outer, inner)
+        comp = assemble_cauchy(args.outer, args.inner)
     except (BoundaryMismatchError, ValueError) as err:
         _dump({"command": "surface assemble", "error": str(err)}, args.out)
         return 1
@@ -369,9 +415,8 @@ def _cmd_surface_assemble(args):
 
 
 def _cmd_extend_adjoin(args):
-    chart = _chart_from_file(args.chart)
     try:
-        full = adjoin_btz(chart)
+        full = adjoin_btz(args.chart)
     except NotBTZExtendableError as err:
         _dump({"command": "extend adjoin", "error": str(err)}, args.out)
         return 1
@@ -381,10 +426,8 @@ def _cmd_extend_adjoin(args):
 
 
 def _cmd_extend_remove(args):
-    chart = _chart_from_file(args.chart)
-    boundary = _boundary_from_file(args.boundary) if args.boundary else None
     try:
-        stripped, surface = remove_btz(chart, boundary)
+        stripped, surface = remove_btz(args.chart, args.boundary)
     except ValueError as err:
         _dump({"command": "extend remove", "error": str(err)}, args.out)
         return 1
@@ -569,7 +612,7 @@ def _cmd_conefield(args):
 
 def _add_common(p, seed=0):
     p.add_argument("--seed", type=int, default=seed, help="RNG seed")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     p.add_argument("--out", type=Path, default=None, help="output path")
 
 
@@ -592,24 +635,24 @@ def build_parser() -> argparse.ArgumentParser:
     csub = causal.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("check", help="validate a sampled curve")
     p.add_argument("--curve", type=Path, required=True, help="CSV of (t, r, theta)")
-    p.add_argument("--alpha", type=float, default=0.0, help="cone angle")
-    p.add_argument("--tol", type=float, default=1.0e-9)
+    p.add_argument("--alpha", type=_finite_float, default=0.0, help="cone angle")
+    p.add_argument("--tol", type=_finite_float, default=1.0e-9)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_causal_check)
     p = csub.add_parser("jplus", help="relation of a target to J+(point)")
-    p.add_argument("--point", type=float, nargs=3, required=True, metavar=("T", "R", "TH"))
-    p.add_argument("--target", type=float, nargs=3, required=True, metavar=("T", "R", "TH"))
-    p.add_argument("--tol", type=float, default=1.0e-9)
+    p.add_argument("--point", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
+    p.add_argument("--target", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
+    p.add_argument("--tol", type=_finite_float, default=1.0e-9)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_causal_jplus)
     p = csub.add_parser("volumetime", help="volume time at a point")
-    p.add_argument("--point", type=float, nargs=3, required=True, metavar=("T", "R", "TH"))
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--weight3", type=float, default=1.0)
-    p.add_argument("--weight1", type=float, default=1.0)
+    p.add_argument("--point", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
+    p.add_argument("--radius", type=_finite_float, default=1.0)
+    p.add_argument("--t-min", type=_finite_float, default=0.0)
+    p.add_argument("--t-max", type=_finite_float, default=2.0)
+    p.add_argument("--n", type=_positive_int, default=100_000)
+    p.add_argument("--weight3", type=_finite_float, default=1.0)
+    p.add_argument("--weight1", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_causal_volumetime)
@@ -617,58 +660,58 @@ def build_parser() -> argparse.ArgumentParser:
     dev = sub.add_parser("develop", help="developing map tools")
     dsub = dev.add_subparsers(dest="subcommand", required=True)
     p = dsub.add_parser("sample", help="CSV point cloud (tau, r, theta, t, x, y)")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--n", type=int, default=500)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
+    p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--t-span", type=float, default=1.0)
+    p.add_argument("--r-max", type=_finite_float, default=1.0)
+    p.add_argument("--t-span", type=_finite_float, default=1.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_develop_sample)
     p = dsub.add_parser("holonomy", help="holonomy generator report")
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_develop_holonomy)
 
     surf = sub.add_parser("surface", help="spacelike surface tools")
     ssub = surf.add_subparsers(dest="subcommand", required=True)
     p = ssub.add_parser("check", help="spacelike slack of a surface file")
-    p.add_argument("--surface", type=Path, required=True)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--surface", type=_surface_file, required=True)
+    p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_surface_check)
     p = ssub.add_parser("extend", help="complete-end surgery from a boundary file")
-    p.add_argument("--boundary", type=Path, default=None)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
+    p.add_argument("--R", type=_finite_float, default=1.0)
+    p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_surface_extend)
     p = ssub.add_parser("cap", help="compact cap surgery from a boundary file")
-    p.add_argument("--boundary", type=Path, default=None)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
+    p.add_argument("--R", type=_finite_float, default=1.0)
+    p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_surface_cap)
     p = ssub.add_parser("assemble", help="glue an outer ring to an inner disc")
-    p.add_argument("--outer", type=Path, required=True)
-    p.add_argument("--inner", type=Path, required=True)
+    p.add_argument("--outer", type=_surface_file, required=True)
+    p.add_argument("--inner", type=_surface_file, required=True)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_surface_assemble)
 
     ext = sub.add_parser("extend", help="tube chart surgery")
     esub = ext.add_subparsers(dest="subcommand", required=True)
     p = esub.add_parser("adjoin", help="complete a punctured extremal chart")
-    p.add_argument("--chart", type=Path, required=True)
+    p.add_argument("--chart", type=_chart_file, required=True)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_extend_adjoin)
     p = esub.add_parser("remove", help="strip the line, return a complete surface")
-    p.add_argument("--chart", type=Path, required=True)
-    p.add_argument("--boundary", type=Path, default=None)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--chart", type=_chart_file, required=True)
+    p.add_argument("--boundary", type=_boundary_file, default=None)
+    p.add_argument("--grid", type=_positive_int, default=None)
     p.add_argument("--surface-out", type=Path, default=None)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_extend_remove)
     p = esub.add_parser("example-chain", help="nested extension chain report")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_extend_chain)
@@ -679,23 +722,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_modular_build)
     p = msub.add_parser("surface", help="polyhedral Cauchy slice")
-    p.add_argument("--t0", type=float, default=1.0)
+    p.add_argument("--t0", type=_finite_float, default=1.0)
     p.add_argument("--csv", type=Path, default=None, help="triangle soup CSV")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_modular_surface)
     p = msub.add_parser("rays", help="ray intersection counts")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--t0", type=float, default=1.0)
+    p.add_argument("--n", type=_positive_int, default=1000)
+    p.add_argument("--t0", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_modular_rays)
 
     p = sub.add_parser("conefield", help="future cone samples near a singular line")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--r-min", type=float, default=1.0e-3)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--n-radii", type=int, default=7)
-    p.add_argument("--n-dirs", type=int, default=32)
+    p.add_argument("--alpha", type=_finite_float, default=0.0)
+    p.add_argument("--r-min", type=_finite_float, default=1.0e-3)
+    p.add_argument("--r-max", type=_finite_float, default=1.0)
+    p.add_argument("--n-radii", type=_positive_int, default=7)
+    p.add_argument("--n-dirs", type=_positive_int, default=32)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_conefield)
 

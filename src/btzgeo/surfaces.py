@@ -34,11 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from . import _kernels
 from .errors import BoundaryMismatchError, CertificationError
 from .models import TWO_PI, is_valid_cone_angle
 
 _DEFAULT_TOL = 1.0e-9
+
+# cap certification (extend_boundary_cap): slack floor, grid size, doubling limit
+_CAP_DELTA_FLOOR = 1.0e-9
+_CAP_GRID = 512
+_CAP_MAX_DOUBLINGS = 60
 
 
 # =========================================================================
@@ -286,31 +290,38 @@ def induced_metric(surface: GraphSurface, r, th):
     return g
 
 
-def _certification_grid(surface: GraphSurface, n_r, n_theta, r_lo=None, r_hi=None):
-    lo = surface.r_inner if r_lo is None else r_lo
-    hi = surface.radius if r_hi is None else r_hi
-    if lo <= 0.0:
-        lo = hi * 1.0e-4
-        rs = np.geomspace(lo, hi, n_r)
+def _certification_grid(surface: GraphSurface, n_r, n_theta):
+    if surface.r_inner == 0.0:
+        rs = np.geomspace(surface.radius * 1.0e-4, surface.radius, n_r)
     else:
-        rs = np.linspace(lo, hi, n_r)
+        rs = np.linspace(surface.r_inner, surface.radius, n_r)
     ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     return rs, ths
 
 
-def min_spacelike_slack(surface: GraphSurface, n_r=256, n_theta=256, r_lo=None, r_hi=None):
+def _min_delta(rr, f_r, f_th):
+    """(min delta, min r^2 delta) of extremal jets on an (n_r, n_theta) grid.
+
+    ``rr`` holds the positive grid radii as a column.  r^2 delta =
+    r^2 (1 - 2 f_r) - f_th^2 is formed first and then divided by r^2: certified
+    cap constants are computed in this order, which rounds differently from
+    :func:`delta_field`.
+    """
+    r2delta = rr**2 * (1.0 - 2.0 * f_r) - f_th**2
+    return float((r2delta / rr**2).min()), float(r2delta.min())
+
+
+def min_spacelike_slack(surface: GraphSurface, n_r=256, n_theta=256):
     """(min delta, min r^2 delta) over a sampling grid of the domain.
 
-    For punctured surfaces the radial grid is geometric down to
+    For surfaces reaching r = 0 the radial grid is geometric down to
     radius * 1e-4, probing the end; otherwise it is uniform on the domain.
     """
-    rs, ths = _certification_grid(surface, n_r, n_theta, r_lo, r_hi)
+    rs, ths = _certification_grid(surface, n_r, n_theta)
     rr = rs[:, None]
     tt = ths[None, :]
-    f_r = np.broadcast_to(surface.tau_r(rr, tt), (rs.size, ths.size))
-    f_th = np.broadcast_to(surface.tau_theta(rr, tt), (rs.size, ths.size))
     if surface.alpha == 0.0:
-        return _kernels.min_delta_scan(rs, f_r, f_th)
+        return _min_delta(rr, surface.tau_r(rr, tt), surface.tau_theta(rr, tt))
     slack = delta_field(surface)(rr, tt)
     m = float(np.min(slack))
     return m, float(np.min(rr**2 * slack))
@@ -437,13 +448,7 @@ def extend_boundary_complete(boundary: BoundaryCurve, radius) -> GraphSurface:
     )
 
 
-def extend_boundary_cap(
-    boundary: BoundaryCurve,
-    radius,
-    delta_floor=1.0e-9,
-    n_grid=512,
-    max_doublings=60,
-) -> GraphSurface:
+def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
     """Attach a compact cap crossing the line to a boundary trace at r = radius.
 
     The field blends the trace to a constant: with phi(r) = ((2r - R)/R)^2,
@@ -452,9 +457,11 @@ def extend_boundary_cap(
         tau = M / R                             on r <= R/2,
 
     continuous at r = R/2 (exactly, since 2/R - 1/R = 1/R in binary floats).
-    The slope constant M doubles from 1 until the sampled spacelike slack on
-    [R/2, R] exceeds ``delta_floor`` (the inner part is flat, delta = 1);
-    :class:`CertificationError` is raised after ``max_doublings`` failures.
+    The slope constant M doubles from 1 until the spacelike slack sampled on
+    a ``_CAP_GRID`` x ``_CAP_GRID`` grid of [R/2, R] x [0, 2 pi) exceeds
+    ``_CAP_DELTA_FLOOR`` = 1e-9 (the inner part is flat, delta = 1);
+    :class:`CertificationError` is raised once M = 2^``_CAP_MAX_DOUBLINGS``
+    fails too.
     """
     radius = float(radius)
     if radius <= 0.0:
@@ -483,22 +490,20 @@ def extend_boundary_cap(
 
         return tau, tau_r, tau_th
 
-    rs = np.linspace(0.5 * radius, radius, n_grid)
-    ths = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+    rr = np.linspace(0.5 * radius, radius, _CAP_GRID)[:, None]
+    tt = np.linspace(0.0, TWO_PI, _CAP_GRID, endpoint=False)[None, :]
     m = 1.0
-    for _ in range(max_doublings + 1):
+    for _ in range(_CAP_MAX_DOUBLINGS + 1):
         tau, tau_r, tau_th = make_fields(m)
-        f_r = np.broadcast_to(tau_r(rs[:, None], ths[None, :]), (n_grid, n_grid))
-        f_th = np.broadcast_to(tau_th(rs[:, None], ths[None, :]), (n_grid, n_grid))
-        min_delta, _ = _kernels.min_delta_scan(rs, f_r, f_th)
-        if min_delta > delta_floor:
+        min_delta, _ = _min_delta(rr, tau_r(rr, tt), tau_th(rr, tt))
+        if min_delta > _CAP_DELTA_FLOOR:
             return GraphSurface.from_functions(
                 0.0, radius, tau, tau_r, tau_th, punctured=False,
                 params={"cap_constant": m, "certified_min_delta": min_delta},
             )
         m *= 2.0
     raise CertificationError(
-        f"no spacelike cap found with slope constant up to 2^{max_doublings}"
+        f"no spacelike cap found with slope constant up to 2^{_CAP_MAX_DOUBLINGS}"
     )
 
 

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from btzgeo.causal import (
     MeasureConfig,
+    _count_members,
     btz_causal_future,
     btz_causally_reachable,
     btz_connecting_curve,
@@ -373,3 +374,41 @@ class TestVolumeTime:
         a = volume_time(self.REGION, (1.0, 0.3, 0.0), config, seed=6)
         b = volume_time(self.REGION, (1.0, 0.3, 0.0), config, seed=6)
         assert a == b
+
+
+class TestCountMembers:
+    @staticmethod
+    def random_pool(rng, n, line_fraction=0.1):
+        tau = rng.uniform(-2.0, 2.0, n)
+        r = rng.uniform(0.0, 2.0, n)
+        r[rng.uniform(0.0, 1.0, n) < line_fraction] = 0.0
+        th = rng.uniform(0.0, 20.0, n)
+        return tau, r, th
+
+    def test_matches_scalar_classifier(self):
+        rng = np.random.default_rng(31)
+        tau, r, th = self.random_pool(rng, 400)
+        for q in [(0.3, 0.7, 1.0), (0.0, 0.0, 0.0), (-1.0, 1.5, 9.0)]:
+            for future in (True, False):
+                got = _count_members(tau, r, th, *q, future)
+                want = 0
+                for p in zip(tau, r, th):
+                    a, b = (q, p) if future else (p, q)
+                    if btz_causal_future(a, b) != "outside":
+                        want += 1
+                # the count applies the inequalities exactly while the
+                # classifier keeps a tolerance fence; random pools do not
+                # land inside the fence
+                assert got == want
+
+    def test_angle_wrap_many_turns(self):
+        # same physical point, angles separated by whole turns
+        tau = np.array([1.0])
+        r = np.array([1.0])
+        for k in range(-3, 4):
+            th = np.array([2.0 * np.pi * k])
+            assert _count_members(tau, r, th, 0.0, 1.0, 0.0, True) == 1
+
+    def test_empty_pool(self):
+        z = np.zeros(0)
+        assert _count_members(z, z, z, 0.0, 1.0, 0.0, True) == 0

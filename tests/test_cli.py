@@ -344,6 +344,44 @@ class TestUsageErrors:
             cli.main(["causal"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["causal", "jplus", "--point", "0", "inf", "0", "--target", "1", "1", "0"],
+        ["causal", "jplus", "--point", "0", "1", "0", "--target", "nan", "1", "0"],
+        ["causal", "volumetime", "--point", "0.5", "1", "0", "--n", "0"],
+        ["modular", "rays", "--n", "-5"],
+        ["modular", "surface", "--t0", "-inf"],
+        ["surface", "cap", "--R", "1e400"],
+        ["conefield", "--n-radii", "0"],
+        ["conefield", "--n-dirs", "2.5"],
+    ])
+    def test_non_finite_or_non_positive(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content", [
+        None,  # missing file
+        "not json",
+        '{"constant": "x"}',
+        '{"constant": NaN}',
+        '{"cos": 5}',
+        "[1, 2]",
+    ])
+    @pytest.mark.parametrize("option", [
+        ["surface", "extend", "--boundary"],
+        ["surface", "cap", "--boundary"],
+        ["surface", "check", "--surface"],
+        ["extend", "adjoin", "--chart"],
+    ])
+    def test_bad_input_file(self, tmp_path, capsys, option, content):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*option, str(path)])
+        assert exc.value.code == 2
+        assert "cannot load" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -11,6 +11,7 @@ from btzgeo.errors import BoundaryMismatchError, CertificationError
 from btzgeo.models import TWO_PI
 from btzgeo.surfaces import (
     BoundaryCurve,
+    _min_delta,
     GraphSurface,
     assemble_cauchy,
     completeness_certificate,
@@ -203,11 +204,11 @@ class TestCapSurgery:
         assert surf.params["certified_min_delta"] > 1e-9
 
     def test_certification_failure_reported(self):
-        # a cap cannot blend a boundary oscillating faster than any slope
-        # budget within the doubling limit
-        b = random_boundary(np.random.default_rng(19))
+        # a boundary slope of 1e10 needs M beyond the last doubling, 2^60,
+        # before the blended slack clears the floor
+        b = BoundaryCurve.from_trig(0.0, [1e10])
         with pytest.raises(CertificationError):
-            extend_boundary_cap(b, 1.0, max_doublings=0, delta_floor=1e6)
+            extend_boundary_cap(b, 1.0)
 
 
 class TestLength:
@@ -256,6 +257,23 @@ class TestGridSurfaces:
         min_delta, min_r2 = min_spacelike_slack(surf, 64, 64)
         assert abs(min_delta - 1.0) < 1e-12
         assert is_spacelike(surf, 64, 64)
+
+
+class TestMinDelta:
+    def test_known_values(self):
+        r = np.array([[0.5], [1.0], [2.0]])
+        f_r = np.zeros((3, 4))
+        f_th = np.zeros((3, 4))
+        d, r2 = _min_delta(r, f_r, f_th)
+        assert d == 1.0
+        assert r2 == 0.25
+
+    def test_negative_slack_detected(self):
+        r = np.array([[1.0]])
+        f_r = np.array([[0.9]])
+        f_th = np.array([[0.0]])
+        d, r2 = _min_delta(r, f_r, f_th)
+        assert d < 0.0 and r2 < 0.0
 
 
 class TestAssemble:
