@@ -183,19 +183,8 @@ def validate_causal(alpha, samples, tol=_DEFAULT_TOL) -> CurveVerdict:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
         raise ValueError("expected an (n, 3) sample array with n >= 2")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("curve samples must be finite")
-    if not is_valid_cone_angle(alpha):
-        raise ValueError(f"invalid cone angle {alpha!r}")
-    if np.any(pts[:, 1] < 0.0):
-        raise ValueError("negative radius in curve samples")
-    codes = _segment_codes(alpha, pts, tol)
-    bad = np.nonzero(codes == 0)[0]
-    if bad.size:
-        return CurveVerdict("violation", int(bad[0]))
-    if np.all(codes == 2):
-        return CurveVerdict("valid-chronological")
-    return CurveVerdict("valid-causal")
+    kinds, first_bad = validate_causal_batch(alpha, pts[None], tol)
+    return CurveVerdict(str(kinds[0]), int(first_bad[0]) if first_bad[0] >= 0 else None)
 
 
 def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
@@ -203,10 +192,18 @@ def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
 
     Returns (kinds, first_bad) where ``kinds`` is an array of the verdict
     strings and ``first_bad[i]`` is the first violating segment or -1.
+    Non-finite samples, negative radii and invalid cone angles raise
+    ``ValueError``.
     """
     pts = np.asarray(batch, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[1] < 2:
         raise ValueError("expected an (m, n, 3) sample stack")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("curve samples must be finite")
+    if not is_valid_cone_angle(alpha):
+        raise ValueError(f"invalid cone angle {alpha!r}")
+    if np.any(pts[..., 1] < 0.0):
+        raise ValueError("negative radius in curve samples")
     codes = _segment_codes(alpha, pts, tol)
     has_bad = np.any(codes == 0, axis=1)
     first_bad = np.where(has_bad, np.argmax(codes == 0, axis=1), -1)

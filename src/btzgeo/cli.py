@@ -7,10 +7,17 @@ two boundary surgeries), ``extend`` (tube chart surgery and the extension
 chain), ``modular`` (the modular-group example) and ``conefield`` (samples
 of the future light cones near a singular line).
 
-Reports are JSON (stdout, or ``--out``); point clouds are CSV.  Exit code 0
-means every selected check passed, 1 a failed check or degenerate input,
-2 a usage error.  With ``--no-timing`` the ``verify`` report is
-byte-for-byte reproducible for a fixed seed.
+Reports are JSON, first key ``"command"``, on stdout or in ``--out``; for
+``develop sample``, ``surface extend``, ``surface cap`` and ``conefield``
+``--out`` names the data file (CSV or surface JSON) instead.  Handlers
+return ``(report, passed)``; :func:`main` alone writes reports and turns a
+domain error (``GeometryError``, ``ValueError``, or ``OverflowError`` on an
+extreme but finite input) into
+``{"command", "error": {"type", "message", ...}}``.
+Exit code 0 means every selected check passed, 1 a failed check or a domain
+error, 2 a usage error (bad option value, unreadable or malformed input
+file, missing output directory).  With ``--no-timing`` the ``verify``
+report is byte-for-byte reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -30,13 +37,9 @@ from .causal import (
     volume_time_report,
 )
 from .develop import develop_btz, develop_massive, developing_report
-from .errors import (
-    BoundaryMismatchError,
-    CertificationError,
-    DegenerateMeasureError,
-    NotBTZExtendableError,
-)
+from .errors import GeometryError
 from .extensions import (
+    CITED_CHAIN_POINTS,
     TubeChart,
     adjoin_btz,
     chain_membership,
@@ -45,7 +48,7 @@ from .extensions import (
     sample_chain_monotone,
 )
 from .lorentz import LorentzIsometry, classify_isometry
-from .models import TWO_PI, TubeRegion
+from .models import TWO_PI, TubeRegion, is_valid_cone_angle
 from .modular import (
     build_complex,
     polyhedral_cauchy_surface,
@@ -66,12 +69,20 @@ from .surfaces import (
 from .verify import SUITES, run_suites
 
 
-def _dump(report, out=None):
-    text = json.dumps(report, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
+def _write(text, path=None):
+    if path:
+        Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(report, path=None):
+    _write(json.dumps(report, indent=2) + "\n", path)
+
+
+def _write_csv(path, header, rows):
+    lines = [header] + [",".join(str(c) for c in row) for row in rows]
+    _write("\n".join(lines) + "\n", path)
 
 
 # =========================================================================
@@ -99,28 +110,39 @@ def _positive_int(text):
     return value
 
 
-def _json_file(build):
-    """Argument type that reads a JSON file and returns ``build(data)``.
+def _out_path(text):
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {str(path.parent)!r}")
+    return path
 
-    A missing or unreadable file, malformed JSON, a non-finite number, or
-    data that ``build`` rejects all become usage errors.
+
+def _file_type(load):
+    """Argument type that returns ``load(path)``.
+
+    A missing or unreadable file, malformed content, a non-finite number, or
+    data that the builder rejects all become usage errors.
     """
 
-    def load(path):
+    def parse(path):
         try:
-            data = json.loads(
-                Path(path).read_text(),
-                parse_float=_finite_float,
-                parse_constant=_finite_float,
-            )
-            return build(data)
+            return load(path)
         except (
             argparse.ArgumentTypeError, OSError, ArithmeticError,
             AttributeError, LookupError, TypeError, ValueError,
         ) as err:
             raise argparse.ArgumentTypeError(f"cannot load {path}: {err}") from None
 
-    return load
+    return parse
+
+
+def _json_file(build):
+    """Argument type that reads a JSON file and returns ``build(data)``."""
+    return _file_type(lambda path: build(json.loads(
+        Path(path).read_text(),
+        parse_float=_finite_float,
+        parse_constant=_finite_float,
+    )))
 
 
 # =========================================================================
@@ -146,11 +168,7 @@ def _surface_to_file(surface, path, n_r=128, n_theta=128):
     tau = np.broadcast_to(
         surface.tau(rs[:, None], ths[None, :]), (n_r, n_theta)
     )
-    grid = [
-        [float(r), float(t), float(tau[i, j])]
-        for i, r in enumerate(rs)
-        for j, t in enumerate(ths)
-    ]
+    grid = np.column_stack([np.repeat(rs, n_theta), np.tile(ths, n_r), tau.ravel()])
     payload = {
         "R": surface.radius,
         "punctured": surface.punctured,
@@ -158,9 +176,9 @@ def _surface_to_file(surface, path, n_r=128, n_theta=128):
         "kind": "grid",
         "params": {k: v for k, v in surface.params.items() if k != "grid_shape"},
         "grid_shape": [n_r, n_theta],
-        "grid": grid,
+        "grid": grid.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _dump(payload, path)
 
 
 def _surface_from_data(data) -> GraphSurface:
@@ -177,14 +195,8 @@ def _surface_from_data(data) -> GraphSurface:
 
 
 def _chart_to_dict(chart: TubeChart) -> dict:
-    return {
-        "angle": chart.angle,
-        "radius": chart.radius,
-        "t_min": chart.t_min,
-        "t_max": chart.t_max,
-        "has_singular_line": chart.has_singular_line,
-        "holonomy": chart.holonomy.linear.tolist(),
-    }
+    """Chart file: the TubeChart fields, with the holonomy as a 3x3 matrix."""
+    return {**vars(chart), "holonomy": chart.holonomy.linear.tolist()}
 
 
 def _chart_from_data(d) -> TubeChart:
@@ -201,20 +213,15 @@ def _chart_from_data(d) -> TubeChart:
 _boundary_file = _json_file(_boundary_from_data)
 _surface_file = _json_file(_surface_from_data)
 _chart_file = _json_file(_chart_from_data)
+_curve_file = _file_type(
+    lambda path: np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
+)
 _FLAT_BOUNDARY = BoundaryCurve.from_trig()
 
 
-def _write_csv(path, header, rows):
-    lines = [header] + [",".join(str(c) for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 # =========================================================================
-# Handlers
+# Handlers: each returns (report body, passed), or (None, passed) when its
+# only output is a data file
 # =========================================================================
 
 
@@ -236,7 +243,6 @@ def _cmd_verify(args):
     ]
     failed = sum(c["status"] == "fail" for c in checks)
     report = {
-        "command": "verify",
         "suites": names,
         "seed": args.seed,
         "checks": checks,
@@ -247,35 +253,28 @@ def _cmd_verify(args):
             "status": "pass" if failed == 0 else "fail",
         },
     }
-    _dump(report, args.out)
-    return 0 if failed == 0 else 1
+    return report, failed == 0
 
 
 def _cmd_causal_check(args):
-    pts = np.atleast_2d(np.loadtxt(args.curve, delimiter=",", comments="#"))
-    verdict = validate_causal(args.alpha, pts, tol=args.tol)
+    verdict = validate_causal(args.alpha, args.curve, tol=args.tol)
     report = {
-        "command": "causal check",
-        "curve": str(args.curve),
         "alpha": args.alpha,
-        "n_samples": int(pts.shape[0]),
+        "n_samples": int(args.curve.shape[0]),
         "kind": verdict.kind,
         "first_violation": verdict.index,
     }
-    _dump(report, args.out)
-    return 0 if verdict.ok else 1
+    return report, verdict.ok
 
 
 def _cmd_causal_jplus(args):
     relation = btz_causal_future(tuple(args.point), tuple(args.target), tol=args.tol)
     report = {
-        "command": "causal jplus",
         "point": list(args.point),
         "target": list(args.target),
         "relation": relation,
     }
-    _dump(report, args.out)
-    return 0
+    return report, True
 
 
 def _cmd_causal_volumetime(args):
@@ -283,33 +282,20 @@ def _cmd_causal_volumetime(args):
     config = MeasureConfig(
         weight3=args.weight3, weight1=args.weight1, n_samples=args.n
     )
-    base = {
-        "command": "causal volumetime",
+    res = volume_time_report(region, tuple(args.point), config, seed=args.seed)
+    report = {
         "point": list(args.point),
         "radius": args.radius,
         "t_interval": [args.t_min, args.t_max],
         "weights": [args.weight3, args.weight1],
         "n_samples": args.n,
         "seed": args.seed,
+        "value": res.value,
+        "stderr": res.stderr,
+        "past_volume": res.past_volume,
+        "future_volume": res.future_volume,
     }
-    try:
-        res = volume_time_report(region, tuple(args.point), config, seed=args.seed)
-    except DegenerateMeasureError as err:
-        base.update(
-            {"error": "degenerate-measure", "side": err.side, "estimate": err.estimate}
-        )
-        _dump(base, args.out)
-        return 1
-    base.update(
-        {
-            "value": res.value,
-            "stderr": res.stderr,
-            "past_volume": res.past_volume,
-            "future_volume": res.future_volume,
-        }
-    )
-    _dump(base, args.out)
-    return 0
+    return report, True
 
 
 def _cmd_develop_sample(args):
@@ -325,16 +311,13 @@ def _cmd_develop_sample(args):
         image = develop_massive(args.alpha, np.stack([tau, r, theta], axis=-1))
     rows = np.concatenate([np.stack([tau, r, theta], axis=-1), image], axis=1)
     _write_csv(
-        args.out, "tau,r,theta,t,x,y", [[f"{v:.17g}" for v in row] for row in rows]
+        args.data_out, "tau,r,theta,t,x,y", [[f"{v:.17g}" for v in row] for row in rows]
     )
-    return 0
+    return None, True
 
 
 def _cmd_develop_holonomy(args):
-    report = {"command": "develop holonomy"}
-    report.update(developing_report(args.alpha))
-    _dump(report, args.out)
-    return 0
+    return developing_report(args.alpha), True
 
 
 def _cmd_surface_check(args):
@@ -342,7 +325,6 @@ def _cmd_surface_check(args):
     n = args.grid or 256
     min_delta, min_r2delta = min_spacelike_slack(surface, n_r=n, n_theta=n)
     report = {
-        "command": "surface check",
         "alpha": surface.alpha,
         "R": surface.radius,
         "punctured": surface.punctured,
@@ -353,56 +335,42 @@ def _cmd_surface_check(args):
     if surface.punctured and surface.alpha == 0.0:
         cert = completeness_certificate(surface, n_r=n, n_theta=n)
         report["completeness_certificate"] = cert
-    _dump(report, args.out)
-    return 0 if report["spacelike"] else 1
+    return report, report["spacelike"]
 
 
 def _cmd_surface_extend(args):
     surface = extend_boundary_complete(args.boundary, args.R)
     n = args.grid or 128
     _, min_r2delta = min_spacelike_slack(surface, n_r=256, n_theta=256)
-    if args.out:
-        _surface_to_file(surface, args.out, n_r=n, n_theta=n)
+    if args.data_out:
+        _surface_to_file(surface, args.data_out, n_r=n, n_theta=n)
     report = {
-        "command": "surface extend",
         "R": args.R,
         "slope": surface.params["slope"],
         "min_r2_delta": min_r2delta,
         "certified": min_r2delta > 1.0,
-        "out": str(args.out) if args.out else None,
+        "out": str(args.data_out) if args.data_out else None,
     }
-    _dump(report, None)
-    return 0 if min_r2delta > 1.0 else 1
+    return report, report["certified"]
 
 
 def _cmd_surface_cap(args):
-    try:
-        surface = extend_boundary_cap(args.boundary, args.R)
-    except CertificationError as err:
-        _dump({"command": "surface cap", "error": str(err)}, None)
-        return 1
-    if args.out:
+    surface = extend_boundary_cap(args.boundary, args.R)
+    if args.data_out:
         n = args.grid or 128
-        _surface_to_file(surface, args.out, n_r=n, n_theta=n)
+        _surface_to_file(surface, args.data_out, n_r=n, n_theta=n)
     report = {
-        "command": "surface cap",
         "R": args.R,
         "cap_constant": surface.params["cap_constant"],
         "certified_min_delta": surface.params["certified_min_delta"],
-        "out": str(args.out) if args.out else None,
+        "out": str(args.data_out) if args.data_out else None,
     }
-    _dump(report, None)
-    return 0
+    return report, True
 
 
 def _cmd_surface_assemble(args):
-    try:
-        comp = assemble_cauchy(args.outer, args.inner)
-    except (BoundaryMismatchError, ValueError) as err:
-        _dump({"command": "surface assemble", "error": str(err)}, args.out)
-        return 1
+    comp = assemble_cauchy(args.outer, args.inner)
     report = {
-        "command": "surface assemble",
         "interface_radius": comp.interface_radius,
         "max_mismatch": comp.max_mismatch,
         "outer_min_slack": comp.outer_min_slack,
@@ -410,71 +378,47 @@ def _cmd_surface_assemble(args):
         "spacelike": comp.spacelike,
         "crosses_line": comp.crosses_line,
     }
-    _dump(report, args.out)
-    return 0 if comp.spacelike else 1
+    return report, comp.spacelike
 
 
 def _cmd_extend_adjoin(args):
-    try:
-        full = adjoin_btz(args.chart)
-    except NotBTZExtendableError as err:
-        _dump({"command": "extend adjoin", "error": str(err)}, args.out)
-        return 1
-    report = {"command": "extend adjoin", "chart": _chart_to_dict(full)}
-    _dump(report, args.out)
-    return 0
+    return {"chart": _chart_to_dict(adjoin_btz(args.chart))}, True
 
 
 def _cmd_extend_remove(args):
-    try:
-        stripped, surface = remove_btz(args.chart, args.boundary)
-    except ValueError as err:
-        _dump({"command": "extend remove", "error": str(err)}, args.out)
-        return 1
+    stripped, surface = remove_btz(args.chart, args.boundary)
     if args.surface_out:
         _surface_to_file(surface, args.surface_out, n_r=args.grid or 128)
     report = {
-        "command": "extend remove",
         "chart": _chart_to_dict(stripped),
         "surface_slope": surface.params["slope"],
         "surface_out": str(args.surface_out) if args.surface_out else None,
     }
-    _dump(report, args.out)
-    return 0
+    return report, True
 
 
 def _cmd_extend_chain(args):
-    chain = mixed_extension_chain()
-    cited = {
-        "(-1, 0, 0)": chain_membership((-1.0, 0.0, 0.0)),
-        "(-1, 1, 0)": chain_membership((-1.0, 1.0, 0.0)),
-        "(1, 1, 0)": chain_membership((1.0, 1.0, 0.0)),
-    }
-    expected = {
-        "(-1, 0, 0)": [False, False, True, True],
-        "(-1, 1, 0)": [True, True, True, True],
-        "(1, 1, 0)": [False, False, False, True],
-    }
+    cited = {p: chain_membership(p) for p in CITED_CHAIN_POINTS}
+    cited_ok = all(tuple(cited[p]) == want for p, want in CITED_CHAIN_POINTS.items())
     failures = sample_chain_monotone(args.n, seed=args.seed)
-    cited_ok = all(list(cited[k]) == expected[k] for k in cited)
+    passed = cited_ok and failures == 0
     report = {
-        "command": "extend example-chain",
-        "stages": [s.name for s in chain],
-        "cited_points": {k: list(v) for k, v in cited.items()},
+        "stages": [s.name for s in mixed_extension_chain()],
+        "cited_points": {
+            "(" + ", ".join(f"{v:g}" for v in p) + ")": m for p, m in cited.items()
+        },
         "cited_ok": cited_ok,
         "n_sampled": args.n,
         "monotonicity_failures": failures,
-        "status": "pass" if cited_ok and failures == 0 else "fail",
+        "status": "pass" if passed else "fail",
     }
-    _dump(report, args.out)
-    return 0 if report["status"] == "pass" else 1
+    return report, passed
 
 
 def _cmd_modular_build(args):
     complex_ = build_complex()
     gens = psl2z_generators()
     report = {
-        "command": "modular build",
         "generators": {k: g.linear.tolist() for k, g in gens.items()},
         "relation_residuals": representation_checks(),
         "triangles": [
@@ -503,8 +447,7 @@ def _cmd_modular_build(args):
             for e in complex_.edge_classes
         ],
     }
-    _dump(report, args.out)
-    return 0
+    return report, True
 
 
 def _cmd_modular_surface(args):
@@ -512,7 +455,6 @@ def _cmd_modular_surface(args):
     v, e, f, chi = slice_.euler
     angle_sum = float(sum(slice_.cone_angles.values()))
     report = {
-        "command": "modular surface",
         "t0": slice_.t0,
         "triangles": {
             label: {
@@ -535,8 +477,7 @@ def _cmd_modular_surface(args):
                 x, y = slice_.coords[i, j]
                 rows.append([label, name, f"{x:.17g}", f"{y:.17g}"])
         _write_csv(args.csv, "face,corner,x,y", rows)
-    _dump(report, args.out)
-    return 0 if report["angle_sum_ok"] else 1
+    return report, report["angle_sum_ok"]
 
 
 def _cmd_modular_rays(args):
@@ -545,18 +486,20 @@ def _cmd_modular_rays(args):
     counts = np.array([ray_intersection_count(slice_, d) for d in rays])
     hits_once = int(np.count_nonzero(counts == 1))
     report = {
-        "command": "modular rays",
         "t0": args.t0,
         "n": args.n,
         "seed": args.seed,
         "hits_once": hits_once,
         "status": "pass" if hits_once == args.n else "fail",
     }
-    _dump(report, args.out)
-    return 0 if hits_once == args.n else 1
+    return report, hits_once == args.n
 
 
 def _cmd_conefield(args):
+    if not is_valid_cone_angle(args.alpha):
+        raise ValueError(f"invalid cone angle {args.alpha!r}")
+    if min(args.r_min, args.r_max) <= 0.0:
+        raise ValueError("radii must be positive")
     radii = np.geomspace(args.r_min, args.r_max, args.n_radii)
     psi = np.linspace(0.0, TWO_PI, args.n_dirs, endpoint=False)
     rows = []
@@ -589,20 +532,18 @@ def _cmd_conefield(args):
         )
     for kind, vr in line_dirs:
         rows.append(["0", "nan", "1", f"{vr:.17g}", "0", kind])
-    if args.out:
-        _write_csv(args.out, "r,psi,v_t,v_r,v_theta,kind", rows)
+    if args.data_out:
+        _write_csv(args.data_out, "r,psi,v_t,v_r,v_theta,kind", rows)
     report = {
-        "command": "conefield",
         "alpha": args.alpha,
         "radii": [float(r) for r in radii],
         "max_abs_v_theta": max_vtheta,
         "on_line_v_theta": 0.0,
         "note": note,
         "rows": len(rows),
-        "out": str(args.out) if args.out else None,
+        "out": str(args.data_out) if args.data_out else None,
     }
-    _dump(report, None)
-    return 0
+    return report, True
 
 
 # =========================================================================
@@ -610,10 +551,26 @@ def _cmd_conefield(args):
 # =========================================================================
 
 
-def _add_common(p, seed=0):
-    p.add_argument("--seed", type=int, default=seed, help="RNG seed")
-    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
-    p.add_argument("--out", type=Path, default=None, help="output path")
+def _command(sub, name, func, help, out="report"):
+    """Add subcommand ``name`` run by ``func``, with its ``--out`` option.
+
+    ``--out`` names the report file (default stdout).  With ``out="data"``
+    it names the command's data file instead, stored as ``args.data_out``,
+    and the report goes to stdout.
+    """
+    p = sub.add_parser(name, help=help)
+    if out == "data":
+        p.add_argument("--out", dest="data_out", type=_out_path, default=None,
+                       metavar="OUT", help="data file (CSV or surface JSON; default stdout)")
+    else:
+        p.add_argument("--out", type=_out_path, default=None,
+                       help="report file (default stdout)")
+    p.set_defaults(func=func, out=None)
+    return p
+
+
+def _point(p, name):
+    p.add_argument(name, type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,30 +580,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = _command(sub, "verify", _cmd_verify, "run verification suites")
     p.add_argument(
         "--suite", default="all", choices=["all", *SUITES], help="suite to run"
     )
-    _add_common(p, seed=7)
+    p.add_argument("--seed", type=int, default=7, help="RNG seed")
+    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     p.add_argument("--no-timing", action="store_true", help="omit timings")
-    p.set_defaults(func=_cmd_verify)
 
     causal = sub.add_parser("causal", help="causal structure tools")
     csub = causal.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("check", help="validate a sampled curve")
-    p.add_argument("--curve", type=Path, required=True, help="CSV of (t, r, theta)")
+    p = _command(csub, "check", _cmd_causal_check, "validate a sampled curve")
+    p.add_argument("--curve", type=_curve_file, required=True, help="CSV of (t, r, theta)")
     p.add_argument("--alpha", type=_finite_float, default=0.0, help="cone angle")
     p.add_argument("--tol", type=_finite_float, default=1.0e-9)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_causal_check)
-    p = csub.add_parser("jplus", help="relation of a target to J+(point)")
-    p.add_argument("--point", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
-    p.add_argument("--target", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
+    p = _command(csub, "jplus", _cmd_causal_jplus, "relation of a target to J+(point)")
+    _point(p, "--point")
+    _point(p, "--target")
     p.add_argument("--tol", type=_finite_float, default=1.0e-9)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_causal_jplus)
-    p = csub.add_parser("volumetime", help="volume time at a point")
-    p.add_argument("--point", type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
+    p = _command(csub, "volumetime", _cmd_causal_volumetime, "volume time at a point")
+    _point(p, "--point")
     p.add_argument("--radius", type=_finite_float, default=1.0)
     p.add_argument("--t-min", type=_finite_float, default=0.0)
     p.add_argument("--t-max", type=_finite_float, default=2.0)
@@ -654,100 +607,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight3", type=_finite_float, default=1.0)
     p.add_argument("--weight1", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_causal_volumetime)
 
     dev = sub.add_parser("develop", help="developing map tools")
     dsub = dev.add_subparsers(dest="subcommand", required=True)
-    p = dsub.add_parser("sample", help="CSV point cloud (tau, r, theta, t, x, y)")
+    p = _command(dsub, "sample", _cmd_develop_sample,
+                 "CSV point cloud (tau, r, theta, t, x, y)", out="data")
     p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--n", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-max", type=_finite_float, default=1.0)
     p.add_argument("--t-span", type=_finite_float, default=1.0)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_develop_sample)
-    p = dsub.add_parser("holonomy", help="holonomy generator report")
+    p = _command(dsub, "holonomy", _cmd_develop_holonomy, "holonomy generator report")
     p.add_argument("--alpha", type=_finite_float, default=0.0)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_develop_holonomy)
 
     surf = sub.add_parser("surface", help="spacelike surface tools")
     ssub = surf.add_subparsers(dest="subcommand", required=True)
-    p = ssub.add_parser("check", help="spacelike slack of a surface file")
+    p = _command(ssub, "check", _cmd_surface_check, "spacelike slack of a surface file")
     p.add_argument("--surface", type=_surface_file, required=True)
     p.add_argument("--grid", type=_positive_int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_surface_check)
-    p = ssub.add_parser("extend", help="complete-end surgery from a boundary file")
-    p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
-    p.add_argument("--R", type=_finite_float, default=1.0)
-    p.add_argument("--grid", type=_positive_int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_surface_extend)
-    p = ssub.add_parser("cap", help="compact cap surgery from a boundary file")
-    p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
-    p.add_argument("--R", type=_finite_float, default=1.0)
-    p.add_argument("--grid", type=_positive_int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_surface_cap)
-    p = ssub.add_parser("assemble", help="glue an outer ring to an inner disc")
+    for name, func, help in (
+        ("extend", _cmd_surface_extend, "complete-end surgery from a boundary file"),
+        ("cap", _cmd_surface_cap, "compact cap surgery from a boundary file"),
+    ):
+        p = _command(ssub, name, func, help, out="data")
+        p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
+        p.add_argument("--R", type=_finite_float, default=1.0)
+        p.add_argument("--grid", type=_positive_int, default=None)
+    p = _command(ssub, "assemble", _cmd_surface_assemble, "glue an outer ring to an inner disc")
     p.add_argument("--outer", type=_surface_file, required=True)
     p.add_argument("--inner", type=_surface_file, required=True)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_surface_assemble)
 
     ext = sub.add_parser("extend", help="tube chart surgery")
     esub = ext.add_subparsers(dest="subcommand", required=True)
-    p = esub.add_parser("adjoin", help="complete a punctured extremal chart")
+    p = _command(esub, "adjoin", _cmd_extend_adjoin, "complete a punctured extremal chart")
     p.add_argument("--chart", type=_chart_file, required=True)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_extend_adjoin)
-    p = esub.add_parser("remove", help="strip the line, return a complete surface")
+    p = _command(esub, "remove", _cmd_extend_remove,
+                 "strip the line, return a complete surface")
     p.add_argument("--chart", type=_chart_file, required=True)
     p.add_argument("--boundary", type=_boundary_file, default=None)
     p.add_argument("--grid", type=_positive_int, default=None)
-    p.add_argument("--surface-out", type=Path, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_extend_remove)
-    p = esub.add_parser("example-chain", help="nested extension chain report")
+    p.add_argument("--surface-out", type=_out_path, default=None)
+    p = _command(esub, "example-chain", _cmd_extend_chain, "nested extension chain report")
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_extend_chain)
 
     mod = sub.add_parser("modular", help="modular group example")
     msub = mod.add_subparsers(dest="subcommand", required=True)
-    p = msub.add_parser("build", help="complex description JSON")
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_modular_build)
-    p = msub.add_parser("surface", help="polyhedral Cauchy slice")
+    _command(msub, "build", _cmd_modular_build, "complex description JSON")
+    p = _command(msub, "surface", _cmd_modular_surface, "polyhedral Cauchy slice")
     p.add_argument("--t0", type=_finite_float, default=1.0)
-    p.add_argument("--csv", type=Path, default=None, help="triangle soup CSV")
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_modular_surface)
-    p = msub.add_parser("rays", help="ray intersection counts")
+    p.add_argument("--csv", type=_out_path, default=None, help="triangle soup CSV")
+    p = _command(msub, "rays", _cmd_modular_rays, "ray intersection counts")
     p.add_argument("--n", type=_positive_int, default=1000)
     p.add_argument("--t0", type=_finite_float, default=1.0)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_modular_rays)
 
-    p = sub.add_parser("conefield", help="future cone samples near a singular line")
+    p = _command(sub, "conefield", _cmd_conefield,
+                 "future cone samples near a singular line", out="data")
     p.add_argument("--alpha", type=_finite_float, default=0.0)
     p.add_argument("--r-min", type=_finite_float, default=1.0e-3)
     p.add_argument("--r-max", type=_finite_float, default=1.0)
     p.add_argument("--n-radii", type=_positive_int, default=7)
     p.add_argument("--n-dirs", type=_positive_int, default=32)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(func=_cmd_conefield)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    try:
+        body, passed = args.func(args)
+    except (GeometryError, ValueError, OverflowError) as err:
+        error = {"type": type(err).__name__, "message": str(err), **vars(err)}
+        body, passed = {"error": error}, False
+    if body is not None:
+        _dump({"command": command, **body}, args.out)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

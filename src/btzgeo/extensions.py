@@ -200,6 +200,14 @@ def mixed_extension_chain():
     ]
 
 
+# Points (time, r, theta) cited for the chain, with their M0..M3 membership.
+CITED_CHAIN_POINTS = {
+    (-1.0, 0.0, 0.0): (False, False, True, True),
+    (-1.0, 1.0, 0.0): (True, True, True, True),
+    (1.0, 1.0, 0.0): (False, False, False, True),
+}
+
+
 def chain_membership(point):
     """Membership pattern of ``point`` across the nested chain."""
     return [region.contains(point) for region in mixed_extension_chain()]

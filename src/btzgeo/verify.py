@@ -346,14 +346,9 @@ def suite_surfaces(seed, tol=None):
 def suite_extensions(seed, tol=None):
     rec = _Recorder("extensions", tol)
 
-    cited = {
-        (-1.0, 0.0, 0.0): (False, False, True, True),
-        (-1.0, 1.0, 0.0): (True, True, True, True),
-        (1.0, 1.0, 0.0): (False, False, False, True),
-    }
     ok = all(
         tuple(extensions.chain_membership(p)) == expected
-        for p, expected in cited.items()
+        for p, expected in extensions.CITED_CHAIN_POINTS.items()
     )
     rec.structural("chain_cited_points", ok)
 

@@ -236,6 +236,19 @@ class TestValidateCausal:
         with pytest.raises(ValueError):
             validate_causal(0.0, [[0.0, np.nan, 0.0], [1.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize("alpha, pts", [
+        (-1.0, [[0.0, 0.5, 0.0], [1.0, 0.6, 0.0]]),  # invalid cone angle
+        (TWO_PI + 0.1, [[0.0, 0.5, 0.0], [1.0, 0.6, 0.0]]),
+        (0.0, [[0.0, -0.5, 0.0], [1.0, 0.6, 0.0]]),  # negative radius
+        (0.0, [[0.0, 0.5, 0.0], [np.inf, 0.6, 0.0]]),  # non-finite sample
+        (0.0, [[0.0, 0.5, np.nan], [1.0, 0.6, 0.0]]),
+    ])
+    def test_bad_input_rejected_by_both_paths(self, alpha, pts):
+        with pytest.raises(ValueError):
+            validate_causal(alpha, pts)
+        with pytest.raises(ValueError):
+            validate_causal_batch(alpha, [pts])
+
     def test_batch_agrees_with_scalar(self):
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         curves = sample_causal_curves(region, 40, seed=5)

@@ -1,5 +1,7 @@
 """End-to-end CLI coverage: exit codes, JSON shapes, file round trips."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btzgeo import cli
 from btzgeo.develop import btz_holonomy_generator, massive_holonomy_generator
@@ -123,9 +127,9 @@ class TestCausalCommands:
              "--n", "2000"],
         )
         assert code == 1
-        assert report["error"] == "degenerate-measure"
-        assert report["side"] == "past"
-        assert report["estimate"] == 0.0
+        assert report["error"]["type"] == "DegenerateMeasureError"
+        assert report["error"]["side"] == "past"
+        assert report["error"]["estimate"] == 0.0
 
 
 class TestDevelopCommands:
@@ -328,6 +332,67 @@ class TestConefield:
         assert lines[-1].split(",")[-1] in ("line-exit", "line-tangent")
 
 
+class TestDomainErrors:
+    """Domain errors become one JSON report with exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["causal", "check", "--curve", "{nan_curve}"],
+        ["causal", "check", "--curve", "{one_row}"],
+        ["causal", "jplus", "--point", "0", "-1", "0", "--target", "1", "1", "0"],
+        ["causal", "jplus", "--point", "0", "1e200", "0", "--target", "1", "1", "0"],
+        ["causal", "volumetime", "--point", "0.5", "3", "0"],
+        ["causal", "volumetime", "--point", "0.5", "1", "0", "--radius", "-1"],
+        ["causal", "volumetime", "--point", "0.5", "1", "0", "--weight3", "-1"],
+        ["causal", "volumetime", "--point", "0.5", "1", "0", "--t-min", "3"],
+        ["develop", "sample", "--alpha", "-1"],
+        ["develop", "holonomy", "--alpha", "-1"],
+        ["surface", "extend", "--R", "-1"],
+        ["surface", "cap", "--R", "0"],
+        ["modular", "surface", "--t0", "-1"],
+        ["modular", "rays", "--t0", "0"],
+        ["conefield", "--alpha", "-1"],
+        ["conefield", "--r-min", "-1", "--r-max", "-0.5"],
+    ])
+    def test_error_report(self, capsys, tmp_path, argv):
+        curves = {"{nan_curve}": "0,nan,0\n1,1,0\n", "{one_row}": "0,0.5,0\n"}
+        curve = tmp_path / "curve.csv"
+        for placeholder, content in curves.items():
+            if placeholder in argv:
+                curve.write_text(content)
+        argv = [str(curve) if a in curves else a for a in argv]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 1
+        assert captured.err == ""
+        assert report["command"] == " ".join(a for a in argv[:2] if not a.startswith("-"))
+        assert report["error"]["type"]
+        assert report["error"]["message"]
+
+    @given(
+        st.sampled_from([
+            ["causal", "jplus", "--point", "{0}", "{1}", "{2}", "--target", "1", "1", "0"],
+            ["conefield", "--alpha={0}", "--r-min={1}", "--r-max={2}", "--n-dirs", "4"],
+            ["surface", "extend", "--R={0}"],
+            ["modular", "surface", "--t0={0}"],
+            ["develop", "holonomy", "--alpha={0}"],
+        ]),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_floats_never_traceback(self, template, values):
+        argv = [a.format(*map(repr, values)) for a in template]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+        assert code in (0, 1)
+        json.loads(out.getvalue())
+
+
 class TestUsageErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -358,6 +423,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+    def test_missing_curve_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["causal", "check", "--curve", str(tmp_path / "absent.csv")])
+        assert exc.value.code == 2
+        assert "cannot load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "lorentz"],
+        ["surface", "extend"],
+    ])
+    def test_missing_out_directory(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(tmp_path / "absent" / "out.json")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("content", [
         None,  # missing file
