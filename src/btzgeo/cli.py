@@ -13,7 +13,9 @@ Reports are JSON, first key ``"command"``, on stdout or in ``--out``; for
 return ``(report, passed)``; :func:`main` alone writes reports and turns a
 domain error (``GeometryError``, ``ValueError``, or ``OverflowError`` on an
 extreme but finite input) into
-``{"command", "error": {"type", "message", ...}}``.
+``{"command", "error": {"type", "message", ...}}``.  JSON is strict: a
+report or surface file that would hold a NaN or infinity is such a
+``ValueError``.
 Exit code 0 means every selected check passed, 1 a failed check or a domain
 error, 2 a usage error (bad option value, unreadable or malformed input
 file, missing output directory).  With ``--no-timing`` the ``verify``
@@ -76,8 +78,10 @@ def _write(text, path=None):
         sys.stdout.write(text)
 
 
-def _dump(report, path=None):
-    _write(json.dumps(report, indent=2) + "\n", path)
+def _json(report):
+    """Strict JSON: a NaN or infinity raises ``ValueError`` instead of being
+    written as the non-standard ``NaN``/``Infinity``."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _write_csv(path, header, rows):
@@ -174,11 +178,11 @@ def _surface_to_file(surface, path, n_r=128, n_theta=128):
         "punctured": surface.punctured,
         "alpha": surface.alpha,
         "kind": "grid",
-        "params": {k: v for k, v in surface.params.items() if k != "grid_shape"},
+        "params": surface.params,
         "grid_shape": [n_r, n_theta],
         "grid": grid.tolist(),
     }
-    _dump(payload, path)
+    _write(_json(payload), path)
 
 
 def _surface_from_data(data) -> GraphSurface:
@@ -227,7 +231,7 @@ _FLAT_BOUNDARY = BoundaryCurve.from_trig()
 
 def _cmd_verify(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, args.seed, args.tol)
+    results = run_suites(names, args.seed)
     checks = [
         {
             "suite": r.suite,
@@ -585,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", default="all", choices=["all", *SUITES], help="suite to run"
     )
     p.add_argument("--seed", type=int, default=7, help="RNG seed")
-    p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
     p.add_argument("--no-timing", action="store_true", help="omit timings")
 
     causal = sub.add_parser("causal", help="causal structure tools")
@@ -678,11 +681,12 @@ def main(argv=None) -> int:
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
         body, passed = args.func(args)
+        text = None if body is None else _json({"command": command, **body})
     except (GeometryError, ValueError, OverflowError) as err:
         error = {"type": type(err).__name__, "message": str(err), **vars(err)}
-        body, passed = {"error": error}, False
-    if body is not None:
-        _dump({"command": command, **body}, args.out)
+        text, passed = _json({"command": command, "error": error}), False
+    if text is not None:
+        _write(text, args.out)
     return 0 if passed else 1
 
 

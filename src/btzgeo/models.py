@@ -94,16 +94,14 @@ class ModelPoint:
 class TubeRegion:
     """A solid finite tube {time in [t_min, t_max], 0 <= r <= radius}.
 
-    The closed/open flags say whether boundary points belong to the region;
-    the singular line r = 0 is always included.
+    The region is closed: boundary points and the singular line r = 0 belong
+    to it.
     """
 
     angle: float
     radius: float
     t_min: float
     t_max: float
-    r_closed: bool = True
-    t_closed: bool = True
 
     def __post_init__(self):
         _check_angle(self.angle)
@@ -119,14 +117,9 @@ def in_region(region: TubeRegion, p: ModelPoint) -> bool:
         raise ValueError(
             f"cone angle mismatch: point {p.angle!r}, region {region.angle!r}"
         )
-    if region.r_closed:
-        if p.r > region.radius:
-            return False
-    elif p.r >= region.radius:
+    if p.r > region.radius:
         return False
-    if region.t_closed:
-        return region.t_min <= p.time <= region.t_max
-    return region.t_min < p.time < region.t_max
+    return region.t_min <= p.time <= region.t_max
 
 
 # =========================================================================

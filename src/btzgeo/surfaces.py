@@ -101,13 +101,16 @@ class GraphSurface:
     The domain is r in [r_inner, radius]; ``punctured`` marks surfaces whose
     inner boundary is the missing line r = 0 (so r_inner == 0 but the line
     itself is not part of the surface).  The three callables evaluate the
-    field and its first partials and broadcast over array input.
+    field and its first partials at (r, theta).  Their results broadcast
+    against ``(r, theta)`` but need not have its full shape: a factor in r
+    alone or theta alone is evaluated on that axis only, so a column of radii
+    against a row of angles evaluates a boundary trace once per angle.
+    Callers that need the full shape broadcast the result themselves.
     """
 
     alpha: float
     radius: float
     punctured: bool
-    kind: str
     _tau: callable
     _tau_r: callable
     _tau_th: callable
@@ -141,7 +144,6 @@ class GraphSurface:
             alpha=float(alpha),
             radius=float(radius),
             punctured=bool(punctured),
-            kind="closed-form",
             _tau=tau,
             _tau_r=tau_r,
             _tau_th=tau_theta,
@@ -195,14 +197,11 @@ class GraphSurface:
             alpha=float(alpha),
             radius=float(r_nodes[-1]),
             punctured=bool(punctured),
-            kind="grid",
             _tau=interp(values),
             _tau_r=interp(d_r),
             _tau_th=interp(d_th),
             r_inner=0.0 if punctured else float(r_nodes[0]),
-            params=dict(
-                params or {}, grid_shape=(int(r_nodes.size), int(theta_nodes.size))
-            ),
+            params=dict(params or {}),
         )
 
 
@@ -215,15 +214,12 @@ def hyperbolic_plane_surface(radius=1.0) -> GraphSurface:
     """
 
     def tau(r, th):
-        r, th = np.broadcast_arrays(r, th)
         return (1.0 + r**2) / (2.0 * r)
 
     def tau_r(r, th):
-        r, th = np.broadcast_arrays(r, th)
         return 0.5 - 1.0 / (2.0 * r**2)
 
     def tau_th(r, th):
-        r, th = np.broadcast_arrays(r, th)
         return np.zeros(r.shape)
 
     return GraphSurface.from_functions(
@@ -404,7 +400,9 @@ def divergence_check(surface: GraphSurface, n_theta=256, k_max=20) -> bool:
     ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     ks = np.arange(1, k_max + 1)
     rs = surface.radius * 0.5**ks
-    mins = np.array([float(np.min(surface.tau(rk, ths))) for rk in rs])
+    mins = np.broadcast_to(
+        surface.tau(rs[:, None], ths), (k_max, n_theta)
+    ).min(axis=1)
     half = k_max // 2
     tail = mins[half - 1 :]
     if np.any(np.diff(tail) <= 0.0):
@@ -432,15 +430,12 @@ def extend_boundary_complete(boundary: BoundaryCurve, radius) -> GraphSurface:
     slope = 1.0 + boundary.max_derivative_sq()
 
     def tau(r, th):
-        r = np.asarray(r, dtype=float)
         return boundary.value(th) + slope * (1.0 / r - 1.0 / radius)
 
     def tau_r(r, th):
-        r, th = np.broadcast_arrays(np.asarray(r, dtype=float), th)
         return -slope / r**2
 
     def tau_th(r, th):
-        r, th = np.broadcast_arrays(np.asarray(r, dtype=float), th)
         return boundary.derivative(th)
 
     return GraphSurface.from_functions(
@@ -475,17 +470,14 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
             return 4.0 * (2.0 * r - radius) / radius**2
 
         def tau(r, th):
-            r, th = np.broadcast_arrays(np.asarray(r, dtype=float), th)
             outer = blend(r) * boundary.value(th) + m * (1.0 / r - 1.0 / radius)
             return np.where(r >= 0.5 * radius, outer, m / radius)
 
         def tau_r(r, th):
-            r, th = np.broadcast_arrays(np.asarray(r, dtype=float), th)
             outer = blend_d(r) * boundary.value(th) - m / r**2
             return np.where(r >= 0.5 * radius, outer, 0.0)
 
         def tau_th(r, th):
-            r, th = np.broadcast_arrays(np.asarray(r, dtype=float), th)
             return np.where(r >= 0.5 * radius, blend(r) * boundary.derivative(th), 0.0)
 
         return tau, tau_r, tau_th

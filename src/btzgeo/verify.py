@@ -47,19 +47,17 @@ class CheckResult:
 class _Recorder:
     """Collects checks for one suite, timing the gap between records."""
 
-    def __init__(self, suite, tol_override=None):
+    def __init__(self, suite):
         self.suite = suite
-        self.tol_override = tol_override
         self.results = []
         self._mark = time.perf_counter()
 
     def quantitative(self, name, residual, tolerance, detail=""):
-        tol = self.tol_override if self.tol_override is not None else tolerance
         now = time.perf_counter()
         self.results.append(
             CheckResult(
-                self.suite, name, bool(residual <= tol), float(residual), float(tol),
-                detail, now - self._mark,
+                self.suite, name, bool(residual <= tolerance), float(residual),
+                float(tolerance), detail, now - self._mark,
             )
         )
         self._mark = now
@@ -87,8 +85,8 @@ def _random_isometries(rng, n, factors=4, max_rapidity=0.75):
     return out
 
 
-def suite_lorentz(seed, tol=None):
-    rec = _Recorder("lorentz", tol)
+def suite_lorentz(seed):
+    rec = _Recorder("lorentz")
     rng = np.random.default_rng(seed)
     eta = lorentz.MINKOWSKI_METRIC
     sample = _random_isometries(rng, 50)
@@ -124,8 +122,8 @@ def suite_lorentz(seed, tol=None):
     return rec.results
 
 
-def suite_models(seed, tol=None):
-    rec = _Recorder("models", tol)
+def suite_models(seed):
+    rec = _Recorder("models")
     rng = np.random.default_rng(seed)
 
     worst = 0.0
@@ -160,8 +158,8 @@ def suite_models(seed, tol=None):
     return rec.results
 
 
-def suite_causal(seed, tol=None):
-    rec = _Recorder("causal", tol)
+def suite_causal(seed):
+    rec = _Recorder("causal")
 
     grid = causal.grid_reachability(n_tau=21, n_r=21, n_theta=9)
     mism = int(np.count_nonzero(grid.reach != causal.reachability_closed_form(grid)))
@@ -203,8 +201,8 @@ def suite_causal(seed, tol=None):
     return rec.results
 
 
-def suite_develop(seed, tol=None):
-    rec = _Recorder("develop", tol)
+def suite_develop(seed):
+    rec = _Recorder("develop")
     rng = np.random.default_rng(seed)
     pts = np.stack(
         [
@@ -288,8 +286,8 @@ def suite_develop(seed, tol=None):
     return rec.results
 
 
-def suite_surfaces(seed, tol=None):
-    rec = _Recorder("surfaces", tol)
+def suite_surfaces(seed):
+    rec = _Recorder("surfaces")
     rng = np.random.default_rng(seed)
 
     cap = surfaces.hyperbolic_plane_surface(radius=1.0)
@@ -343,8 +341,8 @@ def suite_surfaces(seed, tol=None):
     return rec.results
 
 
-def suite_extensions(seed, tol=None):
-    rec = _Recorder("extensions", tol)
+def suite_extensions(seed):
+    rec = _Recorder("extensions")
 
     ok = all(
         tuple(extensions.chain_membership(p)) == expected
@@ -379,8 +377,8 @@ def suite_extensions(seed, tol=None):
     return rec.results
 
 
-def suite_modular(seed, tol=None):
-    rec = _Recorder("modular", tol)
+def suite_modular(seed):
+    rec = _Recorder("modular")
 
     checks = modular.representation_checks()
     rec.quantitative("modular_relations", max(checks.values()), 1.0e-9)
@@ -436,10 +434,10 @@ SUITES = {
 }
 
 
-def run_suites(names, seed, tol=None):
+def run_suites(names, seed):
     """Run the named suites in declaration order; returns CheckResults."""
     ordered = [n for n in SUITES if n in set(names)]
     results = []
     for name in ordered:
-        results.extend(SUITES[name](seed, tol))
+        results.extend(SUITES[name](seed))
     return results

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +334,10 @@ class TestConefield:
         assert lines[-1].split(",")[-1] in ("line-exit", "line-tangent")
 
 
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
 class TestDomainErrors:
     """Domain errors become one JSON report with exit 1, never a traceback."""
 
@@ -352,6 +358,9 @@ class TestDomainErrors:
         ["modular", "rays", "--t0", "0"],
         ["conefield", "--alpha", "-1"],
         ["conefield", "--r-min", "-1", "--r-max", "-0.5"],
+        # finite input whose report would hold an infinity or a NaN
+        ["surface", "extend", "--R=1.7976931348623157e+308"],
+        ["modular", "surface", "--t0=2e-225"],
     ])
     def test_error_report(self, capsys, tmp_path, argv):
         curves = {"{nan_curve}": "0,nan,0\n1,1,0\n", "{one_row}": "0,0.5,0\n"}
@@ -390,7 +399,7 @@ class TestDomainErrors:
                 assert exc.code == 2
                 return
         assert code in (0, 1)
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestUsageErrors:
@@ -465,20 +474,23 @@ class TestUsageErrors:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "btzgeo", "verify", "--suite", "modular",
-             "--seed", "7", "--no-timing"],
-            capture_output=True, text=True,
+    @staticmethod
+    def _run(*argv):
+        # the child imports the btzgeo under test, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "btzgeo", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    def test_python_dash_m(self):
+        out = self._run("verify", "--suite", "modular", "--seed", "7", "--no-timing")
         assert out.returncode == 0
         report = json.loads(out.stdout)
         assert report["summary"]["status"] == "pass"
 
     def test_help_exits_zero(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "btzgeo", "--help"],
-            capture_output=True, text=True,
-        )
+        out = self._run("--help")
         assert out.returncode == 0
         assert "btzgeo" in out.stdout

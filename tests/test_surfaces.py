@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from btzgeo.errors import BoundaryMismatchError, CertificationError
 from btzgeo.models import TWO_PI
 from btzgeo.surfaces import (
+    _CAP_GRID,
     BoundaryCurve,
     _min_delta,
     GraphSurface,
@@ -35,6 +36,20 @@ def random_boundary(rng, degree=5, scale=0.25):
         rng.normal(size=degree) * scale,
         rng.normal(size=degree) * scale,
     )
+
+
+def counting_boundary(curve):
+    """``curve`` with a tally of the angles its value and derivative see."""
+    seen = [0]
+
+    def counted(fn):
+        def evaluate(th):
+            seen[0] += np.size(th)
+            return fn(th)
+
+        return evaluate
+
+    return BoundaryCurve(counted(curve.value), counted(curve.derivative)), seen
 
 
 def flat_surface(alpha=0.0, radius=1.0, level=0.0, punctured=False):
@@ -131,6 +146,15 @@ class TestHyperbolicCap:
         assert completeness_certificate(surf) is None
         assert not divergence_check(surf)
 
+    def test_divergence_check_broadcasts_the_field(self):
+        # a field of theta alone keeps theta's shape under the broadcast
+        # contract; it is bounded, so not divergent
+        zero = lambda r, th: np.zeros(np.shape(th))
+        surf = GraphSurface.from_functions(
+            0.0, 1.0, lambda r, th: np.cos(th), zero, zero, punctured=True
+        )
+        assert not divergence_check(surf)
+
 
 class TestCompleteSurgery:
     def test_boundary_match_is_exact(self):
@@ -202,6 +226,30 @@ class TestCapSurgery:
         b = BoundaryCurve.from_trig(0.0, [2.5, 0.0, 1.0], [0.0, 1.5])
         surf = extend_boundary_cap(b, 1.0)
         assert surf.params["certified_min_delta"] > 1e-9
+
+    def test_certified_constants_are_bit_exact(self):
+        # the first two boundaries of criterion 6
+        rng = np.random.default_rng(106)
+        for m, delta_hex in ((32.0, "0x1.daf3090c2593ap+4"), (1.0, "0x1.5fdb11115d25cp+0")):
+            b = BoundaryCurve.from_trig(
+                rng.normal(), rng.normal(size=5) * 0.3, rng.normal(size=5) * 0.3
+            )
+            surf = extend_boundary_cap(b, 1.0)
+            assert surf.params["cap_constant"] == m
+            assert float(surf.params["certified_min_delta"]).hex() == delta_hex
+
+    def test_boundary_evaluated_once_per_angle(self):
+        # the fields separate in (r, theta): a grid of radii against angles
+        # evaluates the boundary trace on the angles only
+        b, seen = counting_boundary(random_boundary(np.random.default_rng(19), scale=1.0))
+        surf = extend_boundary_cap(b, 1.0)
+        doublings = math.log2(surf.params["cap_constant"]) + 1
+        assert doublings > 1
+        assert seen[0] <= 2 * _CAP_GRID * doublings
+
+        b, seen = counting_boundary(random_boundary(np.random.default_rng(19)))
+        min_spacelike_slack(extend_boundary_complete(b, 1.0), n_r=256, n_theta=256)
+        assert seen[0] <= 4096 + 256
 
     def test_certification_failure_reported(self):
         # a boundary slope of 1e10 needs M beyond the last doubling, 2^60,
