@@ -27,6 +27,19 @@ point never reaches the line again.  These formulas are cross-checked in the
 tests against a winding-search oracle built directly on the developing map
 and against breadth-first search over grid secants
 (:func:`grid_reachability`).
+
+Volume time
+-----------
+The volume time ln mu(J-(p)) / mu(J+(p)) counts the points of a shared
+random pool in each cone of p.  Both counts come from one margin taken in
+p's frame, dt = tau - tau_p and dr = r - r_p: a pool point q lies in J+(p)
+by the relation above, and in J-(p) iff p lies in J+(q), which is the same
+inequality r_p r phi^2 <= dr (2 dt - dr) with dt < 0 and dr <= 0 (the
+margin is even under (dt, dr) -> (-dt, -dr)).  A query on the line needs no
+case of its own: at r_p = 0 the inequality reads r (2 dt - r) >= 0, which is
+the exit relation dt >= r / 2.  Only pool points on the line are treated
+apart: they lie in J-(p) iff dt <= -r_p / 2 (the exit from there reaches p)
+and in J+(p) only for p on the line, with dt >= 0.
 """
 
 from __future__ import annotations
@@ -283,7 +296,7 @@ def btz_causally_reachable(p, q, tol=_DEFAULT_TOL) -> bool:
     return btz_causal_future(p, q, tol=tol) != "outside"
 
 
-def btz_connecting_curve(p, q, n=65):
+def btz_connecting_curve(p, q):
     """An explicit causal curve from p to q, sampled as an (m, 3) array.
 
     For regular endpoints the curve is the pullback under the developing map
@@ -298,6 +311,7 @@ def btz_connecting_curve(p, q, n=65):
         raise ValueError("q is not in the causal future of p")
     tp, rp, hp = _as_triple(p)
     tq, rq, hq = _as_triple(q)
+    n = 65
     if rp == 0.0:
         if rq == 0.0:
             taus = np.linspace(tp, tq, n)
@@ -378,39 +392,24 @@ def _sample_pool(region: TubeRegion, n: int, seed: int):
     return tau, r, th
 
 
-def _count_members(tau, r, th, tp, rp, hp, future):
-    """Pool points in J+(p) (``future``) or J-(p) of the query p = (tp, rp, hp).
+def _count_members(tau, r, th, tp, rp, hp):
+    """Pool points in J-(p) and in J+(p) of the query p = (tp, rp, hp).
 
-    Applies the closed-form relation of the module docstring exactly, without
-    the tolerance fence of :func:`btz_causal_future`.
+    Returns ``(past, future)`` from one margin taken in the query's frame
+    (see the module docstring); the relation is applied exactly, without the
+    tolerance fence of :func:`btz_causal_future`.
     """
-    if future:
-        (ta, ra, ha), (tb, rb, hb) = (tp, rp, hp), (tau, r, th)
-    else:
-        (ta, ra, ha), (tb, rb, hb) = (tau, r, th), (tp, rp, hp)
-    dt = tb - ta
-    line_a = np.equal(ra, 0.0)  # a numpy bool for the scalar side, so ~ negates
-    line_b = np.equal(rb, 0.0)
-    phi = _wrap_pi(hb - ha)
-    dr = rb - ra
-    regular = ~line_a & ~line_b & (dt > 0.0) & (dr >= 0.0)
-    regular &= ra * rb * phi**2 <= dr * (2.0 * dt - dr)
-    exit_ = line_a & ~line_b & (dt >= 0.5 * rb)
-    along = line_a & line_b & (dt >= 0.0)
-    return int(np.count_nonzero(regular | exit_ | along))
-
-
-def _line_overlaps(region: TubeRegion, tp, rp):
-    """Exact lengths of J-(p) and J+(p) intersected with the singular line."""
-    a, b = region.t_min, region.t_max
-    if rp == 0.0:
-        past = max(0.0, min(b, tp) - a)
-        future = max(0.0, b - max(a, tp))
-    else:
-        cut = tp - 0.5 * rp
-        past = max(0.0, min(b, cut) - a)
-        future = 0.0
-    return past, future
+    # the angular term first: its temporaries are gone before dt and dr exist
+    angular = rp * r * _wrap_pi(th - hp) ** 2
+    dt = tau - tp
+    dr = r - rp
+    on_line = r == 0.0
+    reach = ~on_line & (angular <= dr * (2.0 * dt - dr))
+    past = reach & (dt < 0.0) & (dr <= 0.0)
+    past |= on_line & (dt <= -0.5 * rp)
+    future = reach & (dt > 0.0) & (dr >= 0.0)
+    future |= on_line & (dt >= 0.0) & (rp == 0.0)
+    return int(np.count_nonzero(past)), int(np.count_nonzero(future))
 
 
 def volume_time_report(
@@ -425,8 +424,6 @@ def volume_time_report(
     """
     if region.angle != 0.0:
         raise ValueError("volume time is defined on extremal tube regions")
-    if not (math.isfinite(region.t_min) and math.isfinite(region.t_max)):
-        raise ValueError("region must have finite time extent")
     tp, rp, hp = _as_triple(point)
     probe = ModelPoint(0.0, tp, rp, hp)
     if not in_region(region, probe):
@@ -434,34 +431,34 @@ def volume_time_report(
 
     tau, r, th = _sample_pool(region, config.n_samples, int(seed))
     n = config.n_samples
+    past, future = _count_members(tau, r, th, tp, rp, hp)
     vol3 = (region.t_max - region.t_min) * math.pi * region.radius**2
-
-    sides = {}
-    for side, future in (("past", False), ("future", True)):
-        count = _count_members(tau, r, th, tp, rp, hp, future)
-        frac = count / n
-        mc = config.weight3 * vol3 * frac
-        se = config.weight3 * vol3 * math.sqrt(frac * (1.0 - frac) / n)
-        sides[side] = (mc, se)
-    line_past, line_future = _line_overlaps(region, tp, rp)
-    mu_past = sides["past"][0] + config.weight1 * line_past
-    mu_future = sides["future"][0] + config.weight1 * line_future
+    scale = config.weight3 * vol3
+    frac_past, frac_future = past / n, future / n
+    se_past = scale * math.sqrt(frac_past * (1.0 - frac_past) / n)
+    se_future = scale * math.sqrt(frac_future * (1.0 - frac_future) / n)
+    # exact lengths of J-(p) and J+(p) on the line: the radial null exit
+    # from line time tp - rp/2 reaches p, and only a line point has line
+    # points in its future
+    a, b = region.t_min, region.t_max
+    line_past = max(0.0, min(b, tp - 0.5 * rp) - a)
+    line_future = max(0.0, b - max(a, tp)) if rp == 0.0 else 0.0
+    mu_past = scale * frac_past + config.weight1 * line_past
+    mu_future = scale * frac_future + config.weight1 * line_future
 
     for side, mu in (("past", mu_past), ("future", mu_future)):
         if mu <= 0.0:
             raise DegenerateMeasureError(side, mu)
 
     value = math.log(mu_past) - math.log(mu_future)
-    stderr = math.sqrt(
-        (sides["past"][1] / mu_past) ** 2 + (sides["future"][1] / mu_future) ** 2
-    )
+    stderr = math.sqrt((se_past / mu_past) ** 2 + (se_future / mu_future) ** 2)
     return VolumeTimeResult(
         value=value,
         stderr=stderr,
         past_volume=mu_past,
         future_volume=mu_future,
-        past_stderr=sides["past"][1],
-        future_stderr=sides["future"][1],
+        past_stderr=se_past,
+        future_stderr=se_future,
         n_samples=n,
         seed=int(seed),
     )
@@ -479,12 +476,10 @@ def volume_time(
 # =========================================================================
 
 
-def sample_causal_curves(
-    region: TubeRegion, n_curves, n_steps=8, seed=0, line_fraction=0.3
-):
+def sample_causal_curves(region: TubeRegion, n_curves, seed=0, line_fraction=0.3):
     """Random validated causal curves inside an extremal tube region.
 
-    Returns a list of (n_steps + 1, 3) sample arrays.  A ``line_fraction``
+    Returns a list of (9, 3) sample arrays (8 steps).  A ``line_fraction``
     share of the curves starts on the singular line (two line steps and a
     null-bounded exit), the rest start at regular points; every generated
     segment satisfies the secant test by construction, and radii never
@@ -492,8 +487,7 @@ def sample_causal_curves(
     """
     if region.angle != 0.0:
         raise ValueError("causal curve sampling targets extremal tube regions")
-    if n_steps < 4:
-        raise ValueError("need at least 4 steps")
+    n_steps = 8
     rng = np.random.default_rng(seed)
     span = region.t_max - region.t_min
     radius = region.radius
@@ -584,22 +578,19 @@ def grid_reachability(
     n_tau=41,
     n_r=41,
     n_theta=17,
-    tau_span=1.0,
-    r_span=1.0,
-    tol=_DEFAULT_TOL,
 ) -> ReachabilityGrid:
     """BFS causal reachability on the extremal tube grid.
 
-    The step stencil moves one tau slice forward and at most two radial
-    steps and one angular step; with equal tau and r spacing the purely
-    radial steps (1 null vertical, 1 timelike, 2 exactly null) realise the
+    The grid covers tau and r in [0, 1].  The step stencil moves one tau
+    slice forward and at most two radial steps and one angular step; with
+    equal tau and r spacing the purely radial steps (1 null vertical, 1 timelike, 2 exactly null) realise the
     boundary of the causal future exactly.  Exits from the line reach every
     angle (the line is a single point per slice).  The decision per edge is
     only the secant q-form test, independent of the closed-form relation.
     """
     i0, j0, k0 = base
-    taus = np.linspace(0.0, tau_span, n_tau)
-    radii = np.linspace(0.0, r_span, n_r)
+    taus = np.linspace(0.0, 1.0, n_tau)
+    radii = np.linspace(0.0, 1.0, n_r)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     h_tau = taus[1] - taus[0]
     h_th = TWO_PI / n_theta
@@ -615,13 +606,13 @@ def grid_reachability(
             dphi = dk * h_th
             q = -2.0 * h_tau * dr + dr**2 + (radii * dphi) ** 2
             scale = h_tau**2 + dr**2 + (radii * dphi) ** 2
-            allowed[:, a, b] = q <= tol * scale
+            allowed[:, a, b] = q <= _DEFAULT_TOL * scale
     exit_ok = np.zeros(n_r, dtype=bool)
     for j in (1, 2):
         if j < n_r:
             dr = radii[j]
             q = dr * (dr - 2.0 * h_tau)
-            exit_ok[j] = q <= tol * (h_tau**2 + dr**2)
+            exit_ok[j] = q <= _DEFAULT_TOL * (h_tau**2 + dr**2)
 
     reach = np.zeros((n_tau, n_r, n_theta), dtype=bool)
     if j0 == 0:
@@ -652,12 +643,12 @@ def grid_reachability(
     return ReachabilityGrid(reach=reach, taus=taus, radii=radii, thetas=thetas, base=tuple(base))
 
 
-def reachability_closed_form(grid: ReachabilityGrid, tol=1.0e-12) -> np.ndarray:
+def reachability_closed_form(grid: ReachabilityGrid) -> np.ndarray:
     """Idealised reachable set from a line base node via the closed form."""
     i0, j0, _ = grid.base
     if j0 != 0:
         raise ValueError("closed-form comparison targets line base nodes")
     t0 = grid.taus[i0]
     dt = grid.taus[:, None] - t0
-    ok = dt >= 0.5 * grid.radii[None, :] - tol
+    ok = dt >= 0.5 * grid.radii[None, :] - 1.0e-12
     return np.broadcast_to(ok[:, :, None], grid.reach.shape).copy()

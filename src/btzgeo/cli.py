@@ -11,8 +11,9 @@ Reports are JSON, first key ``"command"``, on stdout or in ``--out``; for
 ``develop sample``, ``surface extend``, ``surface cap`` and ``conefield``
 ``--out`` names the data file (CSV or surface JSON) instead.  Handlers
 return ``(report, passed)``; :func:`main` alone writes reports and turns a
-domain error (``GeometryError``, ``ValueError``, or ``OverflowError`` on an
-extreme but finite input) into
+domain error (``GeometryError``, ``ValueError``, or ``ArithmeticError``: numpy
+raises on overflow, invalid or divide-by-zero operations of an extreme but
+finite input, and warns on none) into
 ``{"command", "error": {"type", "message", ...}}``.  JSON is strict: a
 report or surface file that would hold a NaN or infinity is such a
 ``ValueError``.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -577,8 +579,15 @@ def _point(p, name):
     p.add_argument(name, type=_finite_float, nargs=3, required=True, metavar=("T", "R", "TH"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.11 takes "-1e-5" for an option; read it as a number, as later Pythons do
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="btzgeo",
         description="Verification and sampling tools for flat singular spacetimes.",
     )
@@ -680,9 +689,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
-        body, passed = args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            body, passed = args.func(args)
         text = None if body is None else _json({"command": command, **body})
-    except (GeometryError, ValueError, OverflowError) as err:
+    except (GeometryError, ValueError, ArithmeticError) as err:
         error = {"type": type(err).__name__, "message": str(err), **vars(err)}
         text, passed = _json({"command": command, "error": error}), False
     if text is not None:

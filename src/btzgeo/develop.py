@@ -184,20 +184,18 @@ class RescaleReport:
     is_isometry: bool
 
 
-def rescale_btz(lam, radii=None, tol=1.0e-12) -> RescaleReport:
+def rescale_btz(lam) -> RescaleReport:
     """Report on the angular rescaling of the extremal tube by ``lam``."""
     lam = float(lam)
     if lam == 0.0:
         raise ValueError("rescaling factor must be nonzero")
-    if radii is None:
-        radii = np.linspace(0.1, 1.0, 10)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.linspace(0.1, 1.0, 10)
     residual = float(np.max(np.abs(lam**2 - 1.0) * radii**2))
     return RescaleReport(
         lam=lam,
         angular_factor=lam**2,
         max_residual=residual,
-        is_isometry=residual <= tol,
+        is_isometry=residual <= 1.0e-12,
     )
 
 

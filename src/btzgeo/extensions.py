@@ -213,7 +213,7 @@ def chain_membership(point):
     return [region.contains(point) for region in mixed_extension_chain()]
 
 
-def sample_chain_monotone(n=1000, seed=0, radius=2.0, t_span=2.0):
+def sample_chain_monotone(n=1000, seed=0):
     """Sampled verification that the chain is monotone under inclusion.
 
     Draws n random points (including some on the line) and returns the
@@ -221,8 +221,8 @@ def sample_chain_monotone(n=1000, seed=0, radius=2.0, t_span=2.0):
     along the chain (always 0; kept as a counted check for reports).
     """
     rng = np.random.default_rng(seed)
-    times = rng.uniform(-t_span, t_span, n)
-    radii = rng.uniform(0.0, radius, n)
+    times = rng.uniform(-2.0, 2.0, n)
+    radii = rng.uniform(0.0, 2.0, n)
     radii[rng.uniform(0.0, 1.0, n) < 0.1] = 0.0
     thetas = rng.uniform(0.0, TWO_PI, n)
     regions = mixed_extension_chain()

@@ -192,10 +192,6 @@ class LorentzIsometry:
     def identity() -> "LorentzIsometry":
         return LorentzIsometry(np.eye(3))
 
-    @property
-    def is_linear(self) -> bool:
-        return not np.any(self.translation)
-
 
 def rotation_about_t_axis(angle) -> LorentzIsometry:
     """Elliptic element: Euclidean rotation of the (x, y) plane."""

@@ -79,6 +79,8 @@ class ModelPoint:
 
     def __post_init__(self):
         _check_angle(self.angle)
+        if not all(map(math.isfinite, (self.time, self.r, self.theta))):
+            raise ValueError(f"non-finite coordinate in {self!r}")
         if self.r < 0.0:
             raise ValueError(f"negative radius {self.r!r}")
 
@@ -105,6 +107,8 @@ class TubeRegion:
 
     def __post_init__(self):
         _check_angle(self.angle)
+        if not all(map(math.isfinite, (self.radius, self.t_min, self.t_max))):
+            raise ValueError(f"non-finite field in {self!r}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if not self.t_min < self.t_max:

@@ -210,7 +210,7 @@ class SuspensionComplex:
     edge_classes: tuple
 
 
-def _match_vertex(g: LorentzIsometry, src, dst, ideal, tol=1.0e-9):
+def _match_vertex(g: LorentzIsometry, src, dst, ideal):
     image = g.apply_linear(src)
     if ideal:
         image = image / image[0]

@@ -37,7 +37,6 @@ from scipy.interpolate import RegularGridInterpolator
 from .errors import BoundaryMismatchError, CertificationError
 from .models import TWO_PI, is_valid_cone_angle
 
-_DEFAULT_TOL = 1.0e-9
 
 # cap certification (extend_boundary_cap): slack floor, grid size, doubling limit
 _CAP_DELTA_FLOOR = 1.0e-9
@@ -84,8 +83,8 @@ class BoundaryCurve:
 
         return BoundaryCurve(value=value, derivative=derivative)
 
-    def max_derivative_sq(self, n=4096) -> float:
-        th = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def max_derivative_sq(self) -> float:
+        th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         return float(np.max(self.derivative(th) ** 2))
 
 
@@ -328,18 +327,18 @@ def is_spacelike(surface: GraphSurface, n_r=256, n_theta=256) -> bool:
     return min_spacelike_slack(surface, n_r, n_theta)[0] > 0.0
 
 
-def surface_length(surface: GraphSurface, path, order=8):
+def surface_length(surface: GraphSurface, path):
     """Length of a piecewise-linear chart path on the surface.
 
     ``path`` is an (n, 2) array of (r, theta) with theta unwrapped;
-    each straight chart segment is integrated with fixed-order
+    each straight chart segment is integrated with 8-point
     Gauss-Legendre quadrature of the induced line element.  Raises
     ``ValueError`` if a quadrature node sees a non-spacelike direction.
     """
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or path.shape[1] != 2 or path.shape[0] < 2:
         raise ValueError("expected an (n, 2) path of (r, theta) nodes")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     s = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     p0, p1 = path[:-1], path[1:]
@@ -365,14 +364,12 @@ def surface_length(surface: GraphSurface, path, order=8):
 # =========================================================================
 
 
-def completeness_certificate(
-    surface: GraphSurface, n_r=256, n_theta=256, threshold=1.0e-6
-):
+def completeness_certificate(surface: GraphSurface, n_r=256, n_theta=256):
     """Certified lower bound C with radial length >= C ln(r1/r0) at the end.
 
     Returns sqrt(min r^2 delta) sampled on a geometric grid down to
     radius * 1e-4, or ``None`` when the sampled infimum falls below
-    ``threshold`` (no certificate; e.g. bounded height fields).  Only
+    1e-6 (no certificate; e.g. bounded height fields).  Only
     punctured surfaces in the extremal ambient have such an end.
     """
     if not surface.punctured:
@@ -380,30 +377,29 @@ def completeness_certificate(
     if surface.alpha != 0.0:
         raise ValueError("completeness certificates target the extremal ambient")
     _, min_r2 = min_spacelike_slack(surface, n_r, n_theta)
-    if min_r2 < threshold:
+    if min_r2 < 1.0e-6:
         return None
     return math.sqrt(min_r2)
 
 
-def divergence_check(surface: GraphSurface, n_theta=256, k_max=20) -> bool:
+def divergence_check(surface: GraphSurface) -> bool:
     """Heuristic test that the height field grows without bound at the end.
 
-    Samples m_k = min over theta of the field at dyadic radii
-    r_k = radius * 2^-k.  Divergence is reported when the tail of m_k is
-    strictly increasing and the dyadic increments do not decay (the last
-    increment is at least 0.9 of a mid-tail reference increment).  This
+    Samples m_k = min over 256 angles of the field at dyadic radii
+    r_k = radius * 2^-k, k = 1..20.  Divergence is reported when the tail
+    of m_k is strictly increasing and the dyadic increments do not decay
+    (the last increment is at least 0.9 of a mid-tail reference increment).  This
     catches 1/r- and log-type growth and rejects bounded fields, whose
     dyadic increments are summable.
     """
     if not surface.punctured:
         raise ValueError("divergence check applies to punctured surfaces")
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    ks = np.arange(1, k_max + 1)
-    rs = surface.radius * 0.5**ks
+    ths = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    rs = surface.radius * 0.5 ** np.arange(1, 21)
     mins = np.broadcast_to(
-        surface.tau(rs[:, None], ths), (k_max, n_theta)
+        surface.tau(rs[:, None], ths), (rs.size, ths.size)
     ).min(axis=1)
-    half = k_max // 2
+    half = rs.size // 2
     tail = mins[half - 1 :]
     if np.any(np.diff(tail) <= 0.0):
         return False
@@ -518,14 +514,12 @@ class CompositeSurface:
     crosses_line: bool
 
 
-def assemble_cauchy(
-    outer: GraphSurface, inner: GraphSurface, n_theta=512, tol=_DEFAULT_TOL
-) -> CompositeSurface:
+def assemble_cauchy(outer: GraphSurface, inner: GraphSurface) -> CompositeSurface:
     """Glue an annular outer piece to an inner piece sharing a circle.
 
     The pieces must live in the same ambient model; the outer inner radius
     must equal the inner piece's outer radius, and the two height traces on
-    that circle must agree within ``tol`` (otherwise
+    that circle must agree within 1e-9 at 512 angles (otherwise
     :class:`BoundaryMismatchError`).  The report records sampled spacelike
     slack minima for both pieces and whether the composite crosses the line.
     """
@@ -536,11 +530,11 @@ def assemble_cauchy(
         raise ValueError(
             f"interface radii differ: outer starts at {ri!r}, inner ends at {inner.radius!r}"
         )
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    ths = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     trace_outer = np.broadcast_to(outer.tau(ri, ths), ths.shape)
     trace_inner = np.broadcast_to(inner.tau(ri, ths), ths.shape)
     mismatch = float(np.max(np.abs(trace_outer - trace_inner)))
-    if mismatch > tol:
+    if mismatch > 1.0e-9:
         raise BoundaryMismatchError(
             f"boundary traces differ by {mismatch:.3e} at r = {ri!r}"
         )

@@ -72,15 +72,15 @@ class _Recorder:
         self._mark = now
 
 
-def _random_isometries(rng, n, factors=4, max_rapidity=0.75):
+def _random_isometries(rng, n):
     out = []
     for _ in range(n):
         g = lorentz.LorentzIsometry.identity()
-        for _ in range(factors):
+        for _ in range(4):
             if rng.random() < 0.5:
                 g = g @ lorentz.rotation_about_t_axis(rng.uniform(0.0, TWO_PI))
             else:
-                g = g @ lorentz.boost_tx(rng.uniform(-max_rapidity, max_rapidity))
+                g = g @ lorentz.boost_tx(rng.uniform(-0.75, 0.75))
         out.append(g)
     return out
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from btzgeo.causal import (
     MeasureConfig,
     _count_members,
+    _sample_pool,
     btz_causal_future,
     btz_causally_reachable,
     btz_connecting_curve,
@@ -398,30 +399,63 @@ class TestCountMembers:
         th = rng.uniform(0.0, 20.0, n)
         return tau, r, th
 
+    @staticmethod
+    def scalar_counts(tau, r, th, q):
+        pool = list(zip(tau, r, th))
+        past = sum(btz_causal_future(p, q) != "outside" for p in pool)
+        future = sum(btz_causal_future(q, p) != "outside" for p in pool)
+        return past, future
+
     def test_matches_scalar_classifier(self):
         rng = np.random.default_rng(31)
         tau, r, th = self.random_pool(rng, 400)
         for q in [(0.3, 0.7, 1.0), (0.0, 0.0, 0.0), (-1.0, 1.5, 9.0)]:
-            for future in (True, False):
-                got = _count_members(tau, r, th, *q, future)
-                want = 0
-                for p in zip(tau, r, th):
-                    a, b = (q, p) if future else (p, q)
-                    if btz_causal_future(a, b) != "outside":
-                        want += 1
-                # the count applies the inequalities exactly while the
-                # classifier keeps a tolerance fence; random pools do not
-                # land inside the fence
-                assert got == want
+            # the count applies the inequalities exactly while the
+            # classifier keeps a tolerance fence; random pools do not
+            # land inside the fence
+            assert _count_members(tau, r, th, *q) == self.scalar_counts(tau, r, th, q)
+
+    def test_planted_boundary_points(self):
+        # dyadic coordinates make every margin exact, so these points lie
+        # exactly on the boundaries of J-(q) and J+(q), where the count and
+        # the classifier must agree without the fence
+        rng = np.random.default_rng(32)
+        for q in [(0.5, 0.0, 0.0), (0.75, 0.5, 1.0)]:
+            tp, rp, hp = q
+            steps = (0.25, 0.5, 1.0)
+            planted = np.array(
+                [(tp + d / 2, rp + d, hp) for d in steps]  # null rays out of q
+                + [(tp - d / 2, rp - d, hp) for d in steps if d <= rp]  # into q
+                + [(tp, 0.0, h) for h in (0.0, 2.0)]  # the line at dt = 0
+                + [(tp - rp / 2, 0.0, h) for h in (0.0, 2.0)]  # exits reaching q
+                + [(tp + d, rp, hp) for d in (-1.0, 1.0)]  # vertical null lines
+            )
+            pools = [planted.T, np.concatenate([self.random_pool(rng, 400), planted.T], axis=1)]
+            for tau, r, th in pools:
+                assert _count_members(tau, r, th, *q) == self.scalar_counts(tau, r, th, q)
+
+    def test_golden_counts(self):
+        # raw (past, future) pool hits behind perfbench's volume_time digest
+        region = TubeRegion(0.0, 1.0, 0.0, 2.0)
+        pool = _sample_pool(region, 100_000, 5)
+        curves = sample_causal_curves(region, 10, seed=109)
+        counts = [_count_members(*pool, *p) for c in (curves[0], curves[-1]) for p in c]
+        assert counts == [
+            (121, 37201), (189, 31135), (262, 28489), (347, 26518), (824, 15023),
+            (1664, 9098), (2203, 7520), (3937, 2962), (4934, 1486), (0, 75947),
+            (0, 73836), (0, 71536), (22, 62856), (248, 37749), (781, 19829),
+            (1470, 13895), (1609, 12854), (2020, 10599),
+        ]
 
     def test_angle_wrap_many_turns(self):
-        # same physical point, angles separated by whole turns
-        tau = np.array([1.0])
-        r = np.array([1.0])
+        # same physical points, angles separated by whole turns: one point
+        # on the vertical null line above the query and one below it
+        tau = np.array([-1.0, 1.0])
+        r = np.array([1.0, 1.0])
         for k in range(-3, 4):
-            th = np.array([2.0 * np.pi * k])
-            assert _count_members(tau, r, th, 0.0, 1.0, 0.0, True) == 1
+            th = np.full(2, 2.0 * np.pi * k)
+            assert _count_members(tau, r, th, 0.0, 1.0, 0.0) == (1, 1)
 
     def test_empty_pool(self):
         z = np.zeros(0)
-        assert _count_members(z, z, z, 0.0, 1.0, 0.0, True) == 0
+        assert _count_members(z, z, z, 0.0, 1.0, 0.0) == (0, 0)

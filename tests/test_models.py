@@ -53,6 +53,20 @@ class TestModelPoint:
         assert not in_region(region, ModelPoint(0.0, 1.0, 1.5, 0.1))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(4))
+def test_non_finite_fields_rejected(field, value):
+    # a NaN radius or time would otherwise lie in every region
+    point = [0.0, 1.0, 0.5, 0.1]
+    point[field] = value
+    with pytest.raises(ValueError):
+        ModelPoint(*point)
+    region = [0.0, 1.0, 0.0, 2.0]
+    region[field] = value
+    with pytest.raises(ValueError):
+        TubeRegion(*region)
+
+
 class TestConeMetrics:
     def test_regular_is_cylindrical_minkowski(self):
         assert np.array_equal(metric_at(TWO_PI, 2.0), np.diag([-1.0, 1.0, 4.0]))
