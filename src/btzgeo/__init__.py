@@ -79,6 +79,7 @@ from .models import (
     ModelPoint,
     OmegaTransform,
     TubeRegion,
+    chart_form,
     circle_circumference,
     in_region,
     is_extremal,

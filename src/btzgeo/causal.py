@@ -3,7 +3,9 @@
 Chart conventions follow :mod:`btzgeo.models`: the extremal (BTZ-type) tube
 carries ``-2 dtau dr + dr^2 + r^2 dtheta^2`` and its singular line r = 0 is
 null; massive cones carry ``-dt^2 + dr^2 + (alpha/2pi)^2 r^2 dtheta^2`` with
-a timelike line.  Time orientation is by the time coordinate.
+a timelike line.  Tangent and secant classes evaluate both through the
+chart form of :func:`btzgeo.models.chart_form`, with no case per model.
+Time orientation is by the time coordinate.
 
 Closed-form causal relation of the extremal tube
 ------------------------------------------------
@@ -52,7 +54,8 @@ import numpy as np
 
 from .errors import DegenerateMeasureError, MalformedCurveError, SingularPointError
 from .develop import develop_btz, develop_btz_inverse
-from .models import ModelPoint, TubeRegion, TWO_PI, in_region, is_valid_cone_angle
+from .lorentz import causal_label
+from .models import ModelPoint, TubeRegion, TWO_PI, chart_form, in_region
 
 _DEFAULT_TOL = 1.0e-9
 
@@ -62,13 +65,18 @@ def _wrap_pi(x):
     return np.mod(np.asarray(x, dtype=float) + math.pi, TWO_PI) - math.pi
 
 
-def _as_triple(p):
+def _as_point(p) -> ModelPoint:
+    """A query point as a :class:`ModelPoint`; tuples are (tau, r, theta) of
+    the extremal tube and are validated there."""
     if isinstance(p, ModelPoint):
-        return float(p.time), float(p.r), float(p.theta)
+        return p
     t, r, h = (float(v) for v in p)
-    if r < 0.0:
-        raise ValueError(f"negative radius {r!r}")
-    return t, r, h
+    return ModelPoint(0.0, t, r, h)
+
+
+def _as_triple(p):
+    p = _as_point(p)
+    return float(p.time), float(p.r), float(p.theta)
 
 
 # =========================================================================
@@ -80,31 +88,22 @@ def tangent_class(alpha, point_or_r, v, tol=_DEFAULT_TOL):
     """Causal class of a chart tangent vector at radius r > 0.
 
     ``point_or_r`` is a :class:`ModelPoint` or a bare radius.  Returns the
-    same labels as :func:`btzgeo.lorentz.classify_vector`; the future side is
-    decided by the time component (any causal vector with vanishing time
-    component is zero in these metrics).
+    same labels as :func:`btzgeo.lorentz.classify_vector`, from the chart
+    form of the alpha-model; the future side is decided by the time
+    component (any causal vector with vanishing time component is zero in
+    these metrics).  Non-finite vectors raise ``ValueError``.
     """
-    if not is_valid_cone_angle(alpha):
-        raise ValueError(f"invalid cone angle {alpha!r}")
+    c_tt, c_tr, s = chart_form(alpha)
     r = point_or_r.r if isinstance(point_or_r, ModelPoint) else float(point_or_r)
     if r <= 0.0:
         raise SingularPointError("tangent classification requires r > 0")
     v = np.asarray(v, dtype=float)
-    norm2 = float(np.dot(v, v))
-    if norm2 == 0.0:
-        return "zero"
-    if alpha == 0.0:
-        q = -2.0 * v[0] * v[1] + v[1] ** 2 + (r * v[2]) ** 2
-    else:
-        a = alpha / TWO_PI
-        q = -v[0] ** 2 + v[1] ** 2 + (a * r * v[2]) ** 2
-    scale = tol * (v[0] ** 2 + v[1] ** 2 + (r * v[2]) ** 2)
-    if q > scale:
-        return "spacelike"
-    side = "future" if v[0] > 0.0 else "past"
-    if abs(q) <= scale:
-        return f"lightlike-{side}"
-    return f"timelike-{side}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(np.dot(v, v)) == 0.0:
+            return "zero"
+        q = v[0] * (c_tt * v[0] + c_tr * v[1]) + v[1] ** 2 + (s * r * v[2]) ** 2
+        cut = tol * (v[0] ** 2 + v[1] ** 2 + (r * v[2]) ** 2)
+    return causal_label(q, cut, v[0])
 
 
 # =========================================================================
@@ -131,56 +130,29 @@ class CurveVerdict:
 def _segment_codes(alpha, pts, tol):
     """Per-segment codes for sampled curves: 2 chronological, 1 causal, 0 bad.
 
-    ``pts`` is (..., n, 3); codes come back shaped (..., n-1).  Angle
+    ``pts`` is (..., n, 3); codes come back shaped (..., n-1).  Every
+    segment gets the secant test of the chart form at its larger radius.  A
+    segment touching the line has no angle term (the line is one point per
+    time), and one along the line is null when the line is (c_tt = 0) and
+    timelike otherwise.  On a null line the radius never decreases along a
+    causal curve, so a decreasing secant is a violation outright.  Angle
     differences between consecutive samples are reduced to [-pi, pi)
     (nearest-lift convention: curves are expected to be sampled finely enough
     that no segment winds half a turn).
     """
+    c_tt, c_tr, s = chart_form(alpha)
     t1, r1, h1 = pts[..., :-1, 0], pts[..., :-1, 1], pts[..., :-1, 2]
     t2, r2, h2 = pts[..., 1:, 0], pts[..., 1:, 1], pts[..., 1:, 2]
     dt = t2 - t1
-    dphi = _wrap_pi(h2 - h1)
-    line1, line2 = r1 == 0.0, r2 == 0.0
-    a = 1.0 if alpha == 0.0 else alpha / TWO_PI
-    rmax = np.maximum(r1, r2)
-
-    codes = np.zeros(dt.shape, dtype=np.int8)
-
-    # Segments along the singular line: null for the extremal tube,
-    # timelike for massive cones (including the regular axis alpha = 2 pi).
-    on_line = line1 & line2
-    line_code = 1 if alpha == 0.0 else 2
-    codes = np.where(on_line & (dt > 0.0), line_code, codes)
-
-    # Segments leaving or entering the line: radial secants.  For the
-    # extremal tube entering the line means decreasing radius: violation.
-    if alpha == 0.0:
-        exit_ = line1 & ~line2
-        qx = r2 * (r2 - 2.0 * dt)
-        sx = tol * (dt**2 + r2**2)
-        codes = np.where(exit_ & (dt > 0.0) & (qx < -sx), 2, codes)
-        codes = np.where(exit_ & (dt > 0.0) & (qx >= -sx) & (qx <= sx), 1, codes)
-    else:
-        cross = line1 ^ line2
-        rend = np.where(line1, r2, r1)
-        qx = -(dt**2) + rend**2
-        sx = tol * (dt**2 + rend**2)
-        codes = np.where(cross & (dt > 0.0) & (qx < -sx), 2, codes)
-        codes = np.where(cross & (dt > 0.0) & (qx >= -sx) & (qx <= sx), 1, codes)
-
-    # Regular segments.
-    reg = ~line1 & ~line2
     dr = r2 - r1
-    if alpha == 0.0:
-        q = -2.0 * dt * dr + dr**2 + (rmax * dphi) ** 2
-        radial_ok = dr >= 0.0
-    else:
-        q = -(dt**2) + dr**2 + (a * rmax * dphi) ** 2
-        radial_ok = np.ones_like(dt, dtype=bool)
-    s = tol * (dt**2 + dr**2 + (rmax * dphi) ** 2)
-    good = reg & (dt > 0.0) & radial_ok
-    codes = np.where(good & (q < -s), 2, codes)
-    codes = np.where(good & (q >= -s) & (q <= s), 1, codes)
+    line1, line2 = r1 == 0.0, r2 == 0.0
+    rmax = np.where(line1 | line2, 0.0, np.maximum(r1, r2))
+    dphi = _wrap_pi(h2 - h1)
+    q = dt * (c_tt * dt + c_tr * dr) + dr**2 + (s * rmax * dphi) ** 2
+    cut = tol * (dt**2 + dr**2 + (rmax * dphi) ** 2)
+    codes = np.where(q < -cut, 2, np.where(q <= cut, 1, 0)).astype(np.int8)
+    codes[~(dt > 0.0) | ((c_tt == 0.0) & (dr < 0.0))] = 0
+    codes[line1 & line2 & (dt > 0.0)] = 1 if c_tt == 0.0 else 2
     return codes
 
 
@@ -213,8 +185,6 @@ def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
         raise ValueError("expected an (m, n, 3) sample stack")
     if not np.all(np.isfinite(pts)):
         raise ValueError("curve samples must be finite")
-    if not is_valid_cone_angle(alpha):
-        raise ValueError(f"invalid cone angle {alpha!r}")
     if np.any(pts[..., 1] < 0.0):
         raise ValueError("negative radius in curve samples")
     codes = _segment_codes(alpha, pts, tol)
@@ -424,10 +394,10 @@ def volume_time_report(
     """
     if region.angle != 0.0:
         raise ValueError("volume time is defined on extremal tube regions")
-    tp, rp, hp = _as_triple(point)
-    probe = ModelPoint(0.0, tp, rp, hp)
-    if not in_region(region, probe):
+    p = _as_point(point)
+    if not in_region(region, p):
         raise ValueError("point lies outside the region")
+    tp, rp, hp = _as_triple(p)
 
     tau, r, th = _sample_pool(region, config.n_samples, int(seed))
     n = config.n_samples

@@ -52,7 +52,7 @@ from .extensions import (
     sample_chain_monotone,
 )
 from .lorentz import LorentzIsometry, classify_isometry
-from .models import TWO_PI, TubeRegion, is_valid_cone_angle
+from .models import TWO_PI, TubeRegion, chart_form
 from .modular import (
     build_complex,
     polyhedral_cauchy_surface,
@@ -502,36 +502,34 @@ def _cmd_modular_rays(args):
 
 
 def _cmd_conefield(args):
-    if not is_valid_cone_angle(args.alpha):
-        raise ValueError(f"invalid cone angle {args.alpha!r}")
+    c_tt, c_tr, s = chart_form(args.alpha)
     if min(args.r_min, args.r_max) <= 0.0:
         raise ValueError("radii must be positive")
+    # at v_t = 1 the null directions form the circle
+    # (v_r - centre)^2 + (s r v_theta)^2 = rho^2 of the chart form
+    centre, rho = -0.5 * c_tr, math.sqrt(0.25 * c_tr**2 - c_tt)
     radii = np.geomspace(args.r_min, args.r_max, args.n_radii)
     psi = np.linspace(0.0, TWO_PI, args.n_dirs, endpoint=False)
+    v_r = centre + rho * np.cos(psi)
     rows = []
     max_vtheta = []
     for r in radii:
-        if args.alpha == 0.0:
-            v_r = 1.0 + np.cos(psi)
-            v_th = np.sin(psi) / r
-        else:
-            a = args.alpha / TWO_PI
-            v_r = np.cos(psi)
-            v_th = np.sin(psi) / (a * r)
+        v_th = rho * np.sin(psi) / (s * r)
         max_vtheta.append(float(np.max(np.abs(v_th))))
         for p, vr, vt in zip(psi, v_r, v_th):
             rows.append(
                 [f"{r:.17g}", f"{p:.17g}", "1", f"{vr:.17g}", f"{vt:.17g}", "regular"]
             )
-    if args.alpha == 0.0:
-        line_dirs = [("line-tangent", 0.0), ("line-exit", 2.0)]
+    # on the line only the circle's two ends along v_theta = 0 remain
+    if c_tt == 0.0:
+        line_dirs = [("line-tangent", centre - rho), ("line-exit", centre + rho)]
         note = (
             "null cones tilt toward +r with angular width ~ 1/r; on the line "
             "only the tangent direction and exit directions with "
             "0 <= v_r <= 2 v_t remain"
         )
     else:
-        line_dirs = [("line-cone", -1.0), ("line-cone", 1.0)]
+        line_dirs = [("line-cone", centre - rho), ("line-cone", centre + rho)]
         note = (
             "cone width in v_theta grows like 1/r toward the axis while the "
             "on-line cone is the ordinary round cone of the singular line"

@@ -47,6 +47,24 @@ def minkowski_inner(u, v):
     return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def causal_label(q, cut, t):
+    """Causal label of a nonzero vector from its form ``q``, null cut and time.
+
+    Spacelike when q > cut, lightlike when |q| <= cut and timelike otherwise;
+    the side is future when the time component ``t`` is positive.  Raises
+    ``ValueError`` when any of the three is not finite: a vector with a
+    non-finite entry, or whose form overflows, gets no label.
+    """
+    if not all(map(math.isfinite, (q, cut, t))):
+        raise ValueError("cannot classify a vector with a non-finite entry or form")
+    if q > cut:
+        return "spacelike"
+    side = "future" if t > 0.0 else "past"
+    if abs(q) <= cut:
+        return f"lightlike-{side}"
+    return f"timelike-{side}"
+
+
 def classify_vector(v, tol=_CLASSIFY_TOL):
     """Classify a single vector of E^{1,2}.
 
@@ -54,20 +72,16 @@ def classify_vector(v, tol=_CLASSIFY_TOL):
     ``"lightlike-past"``, ``"timelike-future"``, ``"timelike-past"``.
 
     The tolerance is relative to the Euclidean size of ``v``: a vector is
-    treated as null when ``|q(v)| <= tol * |v|^2``.
+    treated as null when ``|q(v)| <= tol * |v|^2``.  Non-finite vectors raise
+    ``ValueError`` (see :func:`causal_label`).
     """
     v = np.asarray(v, dtype=float)
-    norm2 = float(np.dot(v, v))
-    if norm2 == 0.0:
-        return "zero"
-    q = float(q_form(v))
-    cut = tol * norm2
-    if q > cut:
-        return "spacelike"
-    side = "future" if v[0] > 0.0 else "past"
-    if abs(q) <= cut:
-        return f"lightlike-{side}"
-    return f"timelike-{side}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(np.dot(v, v))
+        if norm2 == 0.0:
+            return "zero"
+        q = float(q_form(v))
+    return causal_label(q, tol * norm2, v[0])
 
 
 def minkowski_causal(u, v, tol=_CLASSIFY_TOL):

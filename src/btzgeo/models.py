@@ -25,6 +25,20 @@ with omega = 0 giving cylindrical Minkowski space and omega = 1 the extremal
 metric.  :func:`omega_transform` realises each massive cone inside this
 family: the linear change of chart with rapidity beta = arccosh(2pi/alpha)
 pulls g_omega at omega = tanh(beta) back to the alpha-cone metric.
+
+Chart form
+----------
+Every metric here has the shape
+
+      c_tt dt^2 + c_tr dt dr + dr^2 + (s r dtheta)^2,
+
+with (c_tt, c_tr, s) = (0, -2, 1) for the extremal tube, (-1, 0, alpha/2pi)
+for a massive cone and (-(1 - omega^2), -2 omega, 1) on the omega-family.
+:func:`chart_form` is the one place that holds these coefficients; the
+metric tensors, tangent and secant classes (:mod:`btzgeo.causal`), the
+spacelike slack of graph surfaces (:mod:`btzgeo.surfaces`) and the null
+cones of the CLI's ``conefield`` are all evaluated from it.  The singular
+line is null exactly when c_tt = 0.
 """
 
 from __future__ import annotations
@@ -131,6 +145,28 @@ def in_region(region: TubeRegion, p: ModelPoint) -> bool:
 # =========================================================================
 
 
+def chart_form(alpha):
+    """Coefficients (c_tt, c_tr, s) of the alpha-model's chart metric.
+
+    The metric is c_tt dt^2 + c_tr dt dr + dr^2 + (s r dtheta)^2: (0, -2, 1)
+    for the extremal tube and (-1, 0, alpha/2pi) for a massive cone.  Raises
+    ``ValueError`` for an invalid cone angle.
+    """
+    _check_angle(alpha)
+    if alpha == 0.0:
+        return 0.0, -2.0, 1.0
+    return -1.0, 0.0, alpha / TWO_PI
+
+
+def _form_metric(c_tt, c_tr, s, r):
+    g = np.zeros(r.shape + (3, 3))
+    g[..., 0, 0] = c_tt
+    g[..., 0, 1] = g[..., 1, 0] = 0.5 * c_tr
+    g[..., 1, 1] = 1.0
+    g[..., 2, 2] = (s * r) ** 2
+    return g
+
+
 def metric_at(alpha, r):
     """Model metric in chart coordinates at radius ``r`` (one point or a stack).
 
@@ -138,22 +174,11 @@ def metric_at(alpha, r):
     :class:`SingularPointError` at r = 0: even for alpha = 2pi the polar
     chart degenerates there.
     """
-    _check_angle(alpha)
+    form = chart_form(alpha)
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise SingularPointError("metric tensor is undefined at r = 0")
-    g = np.zeros(r.shape + (3, 3))
-    if alpha == 0.0:
-        g[..., 0, 1] = -1.0
-        g[..., 1, 0] = -1.0
-        g[..., 1, 1] = 1.0
-        g[..., 2, 2] = r**2
-    else:
-        a = alpha / TWO_PI
-        g[..., 0, 0] = -1.0
-        g[..., 1, 1] = 1.0
-        g[..., 2, 2] = (a * r) ** 2
-    return g
+    return _form_metric(*form, r)
 
 
 def omega_metric_at(omega, r):
@@ -169,13 +194,7 @@ def omega_metric_at(omega, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("negative radius")
-    g = np.zeros(r.shape + (3, 3))
-    g[..., 0, 0] = -(1.0 - omega**2)
-    g[..., 0, 1] = -omega
-    g[..., 1, 0] = -omega
-    g[..., 1, 1] = 1.0
-    g[..., 2, 2] = r**2
-    return g
+    return _form_metric(-(1.0 - omega**2), -2.0 * omega, 1.0, r)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ angle alpha (a = alpha / 2 pi) the induced metric is
 
     [[1 - f_r^2, -f_r f_th], [-f_r f_th, (a r)^2 - f_th^2]],
 
-spacelike exactly where 1 - f_r^2 - (f_th / (a r))^2 > 0.
+spacelike exactly where 1 - f_r^2 - (f_th / (a r))^2 > 0.  Both are the
+pullback of the chart form of :func:`btzgeo.models.chart_form`, from which
+:func:`delta_field` and :func:`induced_metric` are evaluated.
 
 Toward a puncture at r = 0 the radial part of the extremal induced metric is
 at least delta dr^2, so a positive lower bound C^2 <= r^2 delta forces radial
@@ -35,7 +37,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BoundaryMismatchError, CertificationError
-from .models import TWO_PI, is_valid_cone_angle
+from .models import TWO_PI, chart_form, is_valid_cone_angle
 
 
 # cap certification (extend_boundary_cap): slack floor, grid size, doubling limit
@@ -235,53 +237,40 @@ def hyperbolic_plane_surface(radius=1.0) -> GraphSurface:
 def delta_field(surface: GraphSurface):
     """The spacelike slack as a callable of (r, theta); positive iff spacelike.
 
-    Extremal ambient: 1 - 2 f_r - (f_th/r)^2.  Massive ambient of angle
-    alpha: 1 - f_r^2 - (f_th / (a r))^2 with a = alpha/2pi.
+    From the chart form (c_tt, c_tr, s) of :func:`btzgeo.models.chart_form`:
+    1 + f_r (c_tr + c_tt f_r) - (f_th / (s r))^2, which is 1 - 2 f_r -
+    (f_th/r)^2 in the extremal ambient and 1 - f_r^2 - (f_th / (a r))^2 with
+    a = alpha/2pi in a massive one.
     """
-    if surface.alpha == 0.0:
-
-        def slack(r, th):
-            r = np.asarray(r, dtype=float)
-            return (
-                1.0
-                - 2.0 * surface.tau_r(r, th)
-                - (surface.tau_theta(r, th) / r) ** 2
-            )
-
-        return slack
-
-    a = surface.alpha / TWO_PI
+    c_tt, c_tr, s = chart_form(surface.alpha)
 
     def slack(r, th):
         r = np.asarray(r, dtype=float)
-        return (
-            1.0
-            - surface.tau_r(r, th) ** 2
-            - (surface.tau_theta(r, th) / (a * r)) ** 2
-        )
+        f_r, f_th = surface.tau_r(r, th), surface.tau_theta(r, th)
+        return 1.0 + f_r * (c_tr + c_tt * f_r) - (f_th / (s * r)) ** 2
 
     return slack
 
 
 def induced_metric(surface: GraphSurface, r, th):
-    """Induced 2-metric of the graph at (r, theta), shaped (..., 2, 2)."""
+    """Induced 2-metric of the graph at (r, theta), shaped (..., 2, 2).
+
+    The pullback of the chart form along time = f(r, theta); every c_tt term
+    multiplies a single field factor, so a vanishing c_tt cannot meet an
+    overflowed square.
+    """
+    c_tt, c_tr, s = chart_form(surface.alpha)
     r = np.asarray(r, dtype=float)
     th = np.asarray(th, dtype=float)
     f_r = surface.tau_r(r, th)
     f_th = surface.tau_theta(r, th)
     r, th, f_r, f_th = np.broadcast_arrays(r, th, f_r, f_th)
     g = np.zeros(r.shape + (2, 2))
-    if surface.alpha == 0.0:
-        g[..., 0, 0] = 1.0 - 2.0 * f_r
-        g[..., 0, 1] = -f_th
-        g[..., 1, 0] = -f_th
-        g[..., 1, 1] = r**2
-    else:
-        a = surface.alpha / TWO_PI
-        g[..., 0, 0] = 1.0 - f_r**2
-        g[..., 0, 1] = -f_r * f_th
-        g[..., 1, 0] = -f_r * f_th
-        g[..., 1, 1] = (a * r) ** 2 - f_th**2
+    g[..., 0, 0] = 1.0 + f_r * (c_tr + c_tt * f_r)
+    # f_th (c_tt f_r + c_tr / 2), arranged so that a zero keeps the sign of
+    # the closed forms -f_th and -f_r f_th
+    g[..., 0, 1] = g[..., 1, 0] = -f_th * (-0.5 * c_tr - c_tt * f_r)
+    g[..., 1, 1] = (s * r) ** 2 + c_tt * f_th * f_th
     return g
 
 

@@ -213,9 +213,7 @@ def suite_develop(seed):
         axis=-1,
     )
 
-    target = np.zeros((pts.shape[0], 3, 3))
-    for i, r in enumerate(pts[:, 1]):
-        target[i] = metric_at(0.0, r)
+    target = metric_at(0.0, pts[:, 1])
     jac = develop.develop_btz_jacobian(pts)
     eta = lorentz.MINKOWSKI_METRIC
     pulled = np.einsum("nji,jk,nkl->nil", jac, eta, jac)
@@ -239,9 +237,7 @@ def suite_develop(seed):
     alpha = 0.5 * math.pi
     jac_m = develop.develop_massive_jacobian(alpha, pts)
     pulled_m = np.einsum("nji,jk,nkl->nil", jac_m, eta, jac_m)
-    target_m = np.zeros_like(pulled_m)
-    for i, r in enumerate(pts[:, 1]):
-        target_m[i] = metric_at(alpha, r)
+    target_m = metric_at(alpha, pts[:, 1])
     rec.quantitative(
         "massive_pullback_exact", float(np.max(np.abs(pulled_m - target_m))), 1.0e-9
     )

@@ -194,6 +194,25 @@ class TestConnectingCurve:
             btz_connecting_curve((0.0, 1.0, 0.0), (-1.0, 1.5, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_non_finite_tuple_points_raise(bad, slot):
+    # tuple points are validated as ModelPoints: no verdict on NaN or inf
+    point = [0.5, 0.5, 0.0]
+    point[slot] = bad
+    point = tuple(point)
+    region = TubeRegion(0.0, 1.0, 0.0, 2.0)
+    calls = (
+        lambda: btz_causal_future((0.0, 1.0, 0.0), point),
+        lambda: btz_causal_future(point, (1.0, 1.0, 0.0)),
+        lambda: btz_connecting_curve((0.0, 0.0, 0.0), point),
+        lambda: volume_time_report(region, point, MeasureConfig(n_samples=100)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
 # =========================================================================
 # Curve validation
 # =========================================================================

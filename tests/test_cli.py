@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: exit codes, JSON shapes, file round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -56,6 +57,15 @@ class TestVerifyCommand:
             assert check["status"] == "pass"
             assert check["time_s"] is None
             assert {"suite", "check", "residual", "tolerance", "seed"} <= set(check)
+
+    def test_seed7_report_digest(self, capsys, tmp_path):
+        # the perfbench verify_all golden, pinned in full
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--suite", "all", "--seed", "7", "--no-timing", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "62dc0701f172081f3aac3d036f19aae05a33073bf501d3af6c6d476e648974ea"
+        )
 
     def test_no_timing_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "lorentz", "--seed", "7", "--no-timing"]
