@@ -42,6 +42,38 @@ case of its own: at r_p = 0 the inequality reads r (2 dt - r) >= 0, which is
 the exit relation dt >= r / 2.  Only pool points on the line are treated
 apart: they lie in J-(p) iff dt <= -r_p / 2 (the exit from there reaches p)
 and in J+(p) only for p on the line, with dt >= 0.
+
+Counting on a sorted pool.  For r > r_p the relation reads dt >= T with
+
+    T(r, phi) = dr / 2 + r_p r phi^2 / (2 dr),
+
+which grows with |phi| while, in r, the term dr / 2 grows and r / dr falls;
+for r < r_p, J-(p) is the mirror case with -dt, rp - r and r / (r_p - r),
+which grows in r.  The pool is bucketed into 32 r x 32 theta buckets and
+sorted by bucket, then by tau (one argsort of the float key
+bucket * 2 span + (tau - t_min)).  Each bucket keeps the actual min and max
+of r and theta of its points, so its T_lo and T_hi are closed forms of its
+(r, |phi|) corners; a bucket whose theta range crosses phi = +-pi has
+|phi| up to pi.  Per query, points past T_hi + eps (eps = 1e-7) are surely
+in and are counted by ``searchsorted`` on the key; points short of
+T_lo - eps are surely out; only the band between goes through
+:func:`_count_members`, with the elementwise arithmetic of a full scan.  A
+bucket whose r range comes within 1e-4 of r_p, or that holds a line point
+(minimum r 0), is evaluated whole.
+
+Why the bands are exact.  With u = 2^-53, the rounding of the key, of the
+thresholds and of the margin (divided by 2 |dr|) comes to at most
+
+    delta = u (8 (1024 span + max |t|) + 64 (R^2 pi^2 + R span) / 1e-4)
+
+in units of dt, about 3e-9 on the tube R = 2, span = 1; the |phi| bounds
+are widened by 16 u (|theta_p| + 4 pi), which covers the rounding of the
+angle reduction.  A sure point has |dr| > 1e-4, so its float margin
+dr (2 dt - dr) - r_p r phi^2 = 2 |dr| (|dt| - T) clears zero by at least
+2e-4 (eps - delta), about 2e-11, where the margin's own rounding is below
+3e-13; the full scan gives it the same verdict, and its dt and dr signs
+hold because T >= |dr| / 2.  A pool whose delta exceeds eps / 2 (a region of a much
+larger scale) evaluates every bucket whole.
 """
 
 from __future__ import annotations
@@ -91,10 +123,18 @@ def tangent_class(alpha, point_or_r, v, tol=_DEFAULT_TOL):
     same labels as :func:`btzgeo.lorentz.classify_vector`, from the chart
     form of the alpha-model; the future side is decided by the time
     component (any causal vector with vanishing time component is zero in
-    these metrics).  Non-finite vectors raise ``ValueError``.
+    these metrics).  Non-finite vectors and a point of another cone angle
+    raise ``ValueError``.
     """
     c_tt, c_tr, s = chart_form(alpha)
-    r = point_or_r.r if isinstance(point_or_r, ModelPoint) else float(point_or_r)
+    if isinstance(point_or_r, ModelPoint):
+        if point_or_r.angle != alpha:
+            raise ValueError(
+                f"cone angle mismatch: point {point_or_r.angle!r}, model {alpha!r}"
+            )
+        r = point_or_r.r
+    else:
+        r = float(point_or_r)
     if r <= 0.0:
         raise SingularPointError("tangent classification requires r > 0")
     v = np.asarray(v, dtype=float)
@@ -138,18 +178,22 @@ def _segment_codes(alpha, pts, tol):
     causal curve, so a decreasing secant is a violation outright.  Angle
     differences between consecutive samples are reduced to [-pi, pi)
     (nearest-lift convention: curves are expected to be sampled finely enough
-    that no segment winds half a turn).
+    that no segment winds half a turn).  A secant form or cut that is not
+    finite raises ``ValueError``.
     """
     c_tt, c_tr, s = chart_form(alpha)
     t1, r1, h1 = pts[..., :-1, 0], pts[..., :-1, 1], pts[..., :-1, 2]
     t2, r2, h2 = pts[..., 1:, 0], pts[..., 1:, 1], pts[..., 1:, 2]
-    dt = t2 - t1
-    dr = r2 - r1
     line1, line2 = r1 == 0.0, r2 == 0.0
     rmax = np.where(line1 | line2, 0.0, np.maximum(r1, r2))
-    dphi = _wrap_pi(h2 - h1)
-    q = dt * (c_tt * dt + c_tr * dr) + dr**2 + (s * rmax * dphi) ** 2
-    cut = tol * (dt**2 + dr**2 + (rmax * dphi) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = t2 - t1
+        dr = r2 - r1
+        dphi = _wrap_pi(h2 - h1)
+        q = dt * (c_tt * dt + c_tr * dr) + dr**2 + (s * rmax * dphi) ** 2
+        cut = tol * (dt**2 + dr**2 + (rmax * dphi) ** 2)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(cut))):
+        raise ValueError("secant form overflows: curve coordinates are too large")
     codes = np.where(q < -cut, 2, np.where(q <= cut, 1, 0)).astype(np.int8)
     codes[~(dt > 0.0) | ((c_tt == 0.0) & (dr < 0.0))] = 0
     codes[line1 & line2 & (dt > 0.0)] = 1 if c_tt == 0.0 else 2
@@ -177,8 +221,8 @@ def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
 
     Returns (kinds, first_bad) where ``kinds`` is an array of the verdict
     strings and ``first_bad[i]`` is the first violating segment or -1.
-    Non-finite samples, negative radii and invalid cone angles raise
-    ``ValueError``.
+    Non-finite samples, secant forms that overflow, negative radii and
+    invalid cone angles raise ``ValueError``.
     """
     pts = np.asarray(batch, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[1] < 2:
@@ -351,15 +395,94 @@ class VolumeTimeResult:
     seed: int
 
 
+# The sorted pool: radial and angular bucket counts, the band half-width in
+# tau, and the radial gap to r_p below which a bucket is evaluated whole.
+_R_BUCKETS = 32
+_TH_BUCKETS = 32
+_BAND_EPS = 1.0e-7
+_BAND_DR = 1.0e-4
+_ULP = 2.0**-53  # unit roundoff of float64
+
+
+@dataclass(frozen=True, eq=False)
+class _SortedPool:
+    """A volume-time pool sorted by (r, theta) bucket, then by tau.
+
+    ``key`` is the sort key bucket * stride + (tau - t_min).  The per-bucket
+    arrays cover the non-empty buckets in key order: ``offset`` is the
+    bucket's key offset, [start, stop) its slice of the pool, and
+    ``r_lo``..``h_hi`` the actual ranges of its r and theta.  ``banded`` is
+    False when the region's scale would let rounding reach the band
+    half-width (see the module docstring); then every bucket is evaluated
+    whole.
+    """
+
+    tau: np.ndarray
+    r: np.ndarray
+    th: np.ndarray
+    key: np.ndarray
+    t_min: float
+    offset: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    h_lo: np.ndarray
+    h_hi: np.ndarray
+    banded: bool
+
+
 @lru_cache(maxsize=16)
-def _sample_pool(region: TubeRegion, n: int, seed: int):
+def _sample_pool(region: TubeRegion, n: int, seed: int) -> _SortedPool:
     rng = np.random.default_rng(seed)
     tau = rng.uniform(region.t_min, region.t_max, n)
-    r = region.radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    r *= region.radius
     th = rng.uniform(0.0, TWO_PI, n)
+    return _sort_pool(region, tau, r, th)
+
+
+def _sort_pool(region: TubeRegion, tau, r, th) -> _SortedPool:
+    """Sort pool arrays in place by bucket, then tau, and index the buckets.
+
+    The points must lie in ``region`` with theta in [0, 2pi).  Temporaries
+    are freed as soon as they are used (int32 bucket ids, one array at a
+    time through the permutation), so the build peaks near the pool's own
+    size plus a key and a permutation.
+    """
+    span = region.t_max - region.t_min
+    stride = 2.0 * span  # tau - t_min may round up to span
+    bucket = (r * (_R_BUCKETS / region.radius)).astype(np.int32)
+    np.minimum(bucket, _R_BUCKETS - 1, out=bucket)
+    bucket *= _TH_BUCKETS
+    col = (th * (_TH_BUCKETS / TWO_PI)).astype(np.int32)
+    np.minimum(col, _TH_BUCKETS - 1, out=col)
+    bucket += col
+    del col
+    sizes = np.bincount(bucket, minlength=_R_BUCKETS * _TH_BUCKETS)
+    key = tau - region.t_min
+    key += bucket * stride
+    del bucket
+    order = np.argsort(key)
+    key.sort()
     for arr in (tau, r, th):
+        arr[:] = arr[order]
+    del order
+    for arr in (tau, r, th, key):
         arr.setflags(write=False)
-    return tau, r, th
+    ids = np.flatnonzero(sizes)
+    stop = np.cumsum(sizes[ids])
+    start = stop - sizes[ids]
+    t_abs = max(abs(region.t_min), abs(region.t_max))
+    scale = region.radius * (region.radius * math.pi**2 + span)
+    delta = _ULP * (8.0 * (_R_BUCKETS * _TH_BUCKETS * span + t_abs) + 64.0 * scale / _BAND_DR)
+    return _SortedPool(
+        tau=tau, r=r, th=th, key=key, t_min=region.t_min,
+        offset=ids * stride, start=start, stop=stop,
+        r_lo=np.minimum.reduceat(r, start), r_hi=np.maximum.reduceat(r, start),
+        h_lo=np.minimum.reduceat(th, start), h_hi=np.maximum.reduceat(th, start),
+        banded=delta <= 0.5 * _BAND_EPS,
+    )
 
 
 def _count_members(tau, r, th, tp, rp, hp):
@@ -367,7 +490,8 @@ def _count_members(tau, r, th, tp, rp, hp):
 
     Returns ``(past, future)`` from one margin taken in the query's frame
     (see the module docstring); the relation is applied exactly, without the
-    tolerance fence of :func:`btz_causal_future`.
+    tolerance fence of :func:`btz_causal_future`.  :func:`_count_pool` runs
+    it on the bands of a sorted pool.
     """
     # the angular term first: its temporaries are gone before dt and dr exist
     angular = rp * r * _wrap_pi(th - hp) ** 2
@@ -380,6 +504,53 @@ def _count_members(tau, r, th, tp, rp, hp):
     future = reach & (dt > 0.0) & (dr >= 0.0)
     future |= on_line & (dt >= 0.0) & (rp == 0.0)
     return int(np.count_nonzero(past)), int(np.count_nonzero(future))
+
+
+def _count_pool(pool: _SortedPool, tp, rp, hp):
+    """Pool points in J-(p) and in J+(p), equal to :func:`_count_members`
+    over the whole pool: sure points are counted by ``searchsorted`` and only
+    the bands go through the elementwise predicate (see the module
+    docstring)."""
+    future = pool.r_lo > rp + _BAND_DR
+    past = (pool.r_hi < rp - _BAND_DR) & (pool.r_lo > 0.0)
+    banded = np.flatnonzero((future | past) & pool.banded)
+    fut = future[banded]
+    # |phi| over each banded bucket; a theta range across phi = +-pi reaches pi
+    h_lo, h_hi = pool.h_lo[banded], pool.h_hi[banded]
+    d0 = _wrap_pi(h_lo - hp)
+    d1 = d0 + (h_hi - h_lo)
+    inside = np.maximum(np.maximum(d0, -d1), 0.0)
+    a_min = np.where(d1 >= math.pi, np.minimum(d0, TWO_PI - d1), inside)
+    a_max = np.maximum(-d0, d1)
+    slack = 16.0 * _ULP * (abs(hp) + 4.0 * math.pi)
+    a_min = np.maximum(a_min - slack, 0.0)
+    a_max = np.minimum(a_max + slack, math.pi)
+    # T = |dr| / 2 + (r_p / 2) phi^2 r / |dr|: the first term is largest at
+    # the far radius, the second at the near one (r_lo for J+, r_hi for J-)
+    r_near = np.where(fut, pool.r_lo[banded], pool.r_hi[banded])
+    r_far = np.where(fut, pool.r_hi[banded], pool.r_lo[banded])
+    g_near, g_far = np.abs(r_near - rp), np.abs(r_far - rp)
+    t_hi = 0.5 * g_far + 0.5 * rp * a_max**2 * r_near / g_near
+    t_lo = 0.5 * g_near + 0.5 * rp * a_min**2 * r_far / g_far
+    # the band in tau: [tp + T_lo - eps, tp + T_hi + eps) in J+ buckets with
+    # the sure points above it, [tp - T_hi - eps, tp - T_lo + eps) in J-
+    # buckets with the sure points below it; whole buckets are one band
+    m = pool.start.size
+    lo = np.full(m, -np.inf)
+    hi = np.full(m, np.inf)
+    lo[banded] = np.where(fut, tp + t_lo - _BAND_EPS, tp - t_hi - _BAND_EPS)
+    hi[banded] = np.where(fut, tp + t_hi + _BAND_EPS, tp - t_lo + _BAND_EPS)
+    keys = np.concatenate([lo, hi]) - pool.t_min + np.tile(pool.offset, 2)
+    idx = np.clip(np.searchsorted(pool.key, keys), np.tile(pool.start, 2), np.tile(pool.stop, 2))
+    lo_i, hi_i = idx[:m], np.maximum(idx[m:], idx[:m])
+    sure_future = int(np.sum((pool.stop - hi_i)[future]))
+    sure_past = int(np.sum((lo_i - pool.start)[past]))
+    # one gather index over every band
+    lens = hi_i - lo_i
+    ends = np.cumsum(lens)
+    take = np.arange(int(lens.sum())) + np.repeat(lo_i - (ends - lens), lens)
+    past_n, future_n = _count_members(pool.tau[take], pool.r[take], pool.th[take], tp, rp, hp)
+    return sure_past + past_n, sure_future + future_n
 
 
 def volume_time_report(
@@ -399,9 +570,8 @@ def volume_time_report(
         raise ValueError("point lies outside the region")
     tp, rp, hp = _as_triple(p)
 
-    tau, r, th = _sample_pool(region, config.n_samples, int(seed))
     n = config.n_samples
-    past, future = _count_members(tau, r, th, tp, rp, hp)
+    past, future = _count_pool(_sample_pool(region, n, int(seed)), tp, rp, hp)
     vol3 = (region.t_max - region.t_min) * math.pi * region.radius**2
     scale = config.weight3 * vol3
     frac_past, frac_future = past / n, future / n

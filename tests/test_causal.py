@@ -23,7 +23,9 @@ from hypothesis import strategies as st
 from btzgeo.causal import (
     MeasureConfig,
     _count_members,
+    _count_pool,
     _sample_pool,
+    _sort_pool,
     btz_causal_future,
     btz_causally_reachable,
     btz_connecting_curve,
@@ -39,7 +41,7 @@ from btzgeo.causal import (
 )
 from btzgeo.develop import develop_btz
 from btzgeo.errors import DegenerateMeasureError, MalformedCurveError
-from btzgeo.models import TWO_PI, TubeRegion
+from btzgeo.models import TWO_PI, ModelPoint, TubeRegion
 
 RNG = np.random.default_rng(11)
 
@@ -93,6 +95,15 @@ class TestTangentClass:
 
         with pytest.raises(SingularPointError):
             tangent_class(0.0, 0.0, [1.0, 0.0, 0.0])
+
+    def test_point_of_another_angle_rejected(self):
+        # a pi-cone point must not be classified in the extremal metric
+        with pytest.raises(ValueError, match="angle mismatch"):
+            tangent_class(0.0, ModelPoint(math.pi, 0.0, 1.0, 0.0), [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="angle mismatch"):
+            tangent_class(math.pi, ModelPoint(0.0, 0.0, 1.0, 0.0), [1.0, 0.0, 0.0])
+        point = ModelPoint(math.pi, 0.0, 1.0, 0.0)
+        assert tangent_class(math.pi, point, [1.0, 0.0, 0.0]) == "timelike-future"
 
 
 # =========================================================================
@@ -269,6 +280,19 @@ class TestValidateCausal:
         with pytest.raises(ValueError):
             validate_causal_batch(alpha, [pts])
 
+    @pytest.mark.parametrize("alpha, pts", [
+        (math.pi, [[0.0, 1.0, 0.0], [1e200, 1.0, 0.0]]),  # -dt^2 overflows
+        (0.0, [[0.0, 1.0, 0.0], [1e200, 1e200, 0.0]]),
+        (0.0, [[-1e308, 1.0, 0.0], [1e308, 1.0, 0.0]]),  # dt overflows
+        (math.pi, [[0.0, 1e200, 0.0], [1.0, 1e200, 1.0]]),  # angle term
+    ])
+    def test_overflowing_secant_rejected(self, alpha, pts):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="overflows"):
+                validate_causal(alpha, pts)
+            with pytest.raises(ValueError, match="overflows"):
+                validate_causal_batch(alpha, [pts])
+
     def test_batch_agrees_with_scalar(self):
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         curves = sample_causal_curves(region, 40, seed=5)
@@ -434,22 +458,29 @@ class TestCountMembers:
             # land inside the fence
             assert _count_members(tau, r, th, *q) == self.scalar_counts(tau, r, th, q)
 
+    PLANTED_QUERIES = [(0.5, 0.0, 0.0), (0.75, 0.5, 1.0)]
+
+    @staticmethod
+    def planted(q):
+        """(3, k) points exactly on the boundaries of J-(q) and J+(q)."""
+        tp, rp, hp = q
+        steps = (0.25, 0.5, 1.0)
+        return np.array(
+            [(tp + d / 2, rp + d, hp) for d in steps]  # null rays out of q
+            + [(tp - d / 2, rp - d, hp) for d in steps if d <= rp]  # into q
+            + [(tp, 0.0, h) for h in (0.0, 2.0)]  # the line at dt = 0
+            + [(tp - rp / 2, 0.0, h) for h in (0.0, 2.0)]  # exits reaching q
+            + [(tp + d, rp, hp) for d in (-1.0, 1.0)]  # vertical null lines
+        ).T
+
     def test_planted_boundary_points(self):
         # dyadic coordinates make every margin exact, so these points lie
         # exactly on the boundaries of J-(q) and J+(q), where the count and
         # the classifier must agree without the fence
         rng = np.random.default_rng(32)
-        for q in [(0.5, 0.0, 0.0), (0.75, 0.5, 1.0)]:
-            tp, rp, hp = q
-            steps = (0.25, 0.5, 1.0)
-            planted = np.array(
-                [(tp + d / 2, rp + d, hp) for d in steps]  # null rays out of q
-                + [(tp - d / 2, rp - d, hp) for d in steps if d <= rp]  # into q
-                + [(tp, 0.0, h) for h in (0.0, 2.0)]  # the line at dt = 0
-                + [(tp - rp / 2, 0.0, h) for h in (0.0, 2.0)]  # exits reaching q
-                + [(tp + d, rp, hp) for d in (-1.0, 1.0)]  # vertical null lines
-            )
-            pools = [planted.T, np.concatenate([self.random_pool(rng, 400), planted.T], axis=1)]
+        for q in self.PLANTED_QUERIES:
+            planted = self.planted(q)
+            pools = [planted, np.concatenate([self.random_pool(rng, 400), planted], axis=1)]
             for tau, r, th in pools:
                 assert _count_members(tau, r, th, *q) == self.scalar_counts(tau, r, th, q)
 
@@ -458,13 +489,16 @@ class TestCountMembers:
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         pool = _sample_pool(region, 100_000, 5)
         curves = sample_causal_curves(region, 10, seed=109)
-        counts = [_count_members(*pool, *p) for c in (curves[0], curves[-1]) for p in c]
-        assert counts == [
+        points = [p for c in (curves[0], curves[-1]) for p in c]
+        golden = [
             (121, 37201), (189, 31135), (262, 28489), (347, 26518), (824, 15023),
             (1664, 9098), (2203, 7520), (3937, 2962), (4934, 1486), (0, 75947),
             (0, 73836), (0, 71536), (22, 62856), (248, 37749), (781, 19829),
             (1470, 13895), (1609, 12854), (2020, 10599),
         ]
+        # the banded count and the full scan of the same pool
+        assert [_count_pool(pool, *p) for p in points] == golden
+        assert [_count_members(pool.tau, pool.r, pool.th, *p) for p in points] == golden
 
     def test_angle_wrap_many_turns(self):
         # same physical points, angles separated by whole turns: one point
@@ -478,3 +512,140 @@ class TestCountMembers:
     def test_empty_pool(self):
         z = np.zeros(0)
         assert _count_members(z, z, z, 0.0, 1.0, 0.0) == (0, 0)
+
+
+class TestSortedPool:
+    """The banded count of :func:`_count_pool` against the full scan."""
+
+    REGION = TubeRegion(0.0, 2.0, 0.0, 1.0)
+
+    @staticmethod
+    def sorted_pool(region, tau, r, th):
+        # _sort_pool sorts in place: hand it copies
+        return _sort_pool(region, *(np.array(a, dtype=float) for a in (tau, r, th)))
+
+    @staticmethod
+    def full_scan(pool, q):
+        return _count_members(pool.tau, pool.r, pool.th, *q)
+
+    def test_planted_points_through_sorted_pool(self):
+        # the planted boundary and line points of TestCountMembers, alone
+        # and mixed into a random pool of the region with 10% line points
+        region = TubeRegion(0.0, 2.0, -1.0, 2.0)
+        rng = np.random.default_rng(32)
+        for q in TestCountMembers.PLANTED_QUERIES:
+            planted = TestCountMembers.planted(q)
+            noise = np.stack([
+                rng.uniform(-1.0, 2.0, 400),
+                np.where(rng.uniform(0.0, 1.0, 400) < 0.1, 0.0, rng.uniform(0.0, 2.0, 400)),
+                rng.uniform(0.0, TWO_PI, 400),
+            ])
+            for tau, r, th in (planted, np.concatenate([noise, planted], axis=1)):
+                pool = self.sorted_pool(region, tau, r, th)
+                expected = TestCountMembers.scalar_counts(tau, r, th, q)
+                assert _count_pool(pool, *q) == expected
+
+    def test_line_points_in_a_large_pool(self):
+        # line points (r = 0) mixed into a pool large enough that most
+        # buckets are banded
+        rng = np.random.default_rng(33)
+        n = 50_000
+        tau = rng.uniform(0.0, 1.0, n)
+        r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, n))
+        r[rng.uniform(0.0, 1.0, n) < 0.02] = 0.0
+        th = rng.uniform(0.0, TWO_PI, n)
+        pool = self.sorted_pool(self.REGION, tau, r, th)
+        assert np.count_nonzero(pool.r == 0.0) > 500
+        for q in [(0.5, 0.0, 0.0), (0.3, 1e-5, 1.0), (0.6, 0.7, 3.0), (0.9, 1.9, 6.0)]:
+            assert _count_pool(pool, *q) == self.full_scan(pool, q)
+
+    def edge_queries(self, pool):
+        nominal_r = [k * 2.0 / 32 for k in range(33)]
+        data_r = sorted(set(pool.r_lo[::37]) | set(pool.r_hi[::41]))
+        radii = [0.0, 1e-5, 1e-4, 2.0] + nominal_r + data_r
+        radii += [min(2.0, max(0.0, x + d)) for x in nominal_r[::3] + data_r[::3]
+                  for d in (-1.01e-4, -1e-4, -0.99e-4, 0.99e-4, 1e-4, 1.01e-4)]
+        thetas = [0.0, math.pi, -math.pi, TWO_PI, TWO_PI - 1e-12, 1e-12, 100.0 * TWO_PI + 1.0]
+        thetas += [k * TWO_PI / 32 for k in range(1, 32, 5)]
+        thetas += [float(h) for h in pool.h_lo[::97]] + [float(h) for h in pool.h_hi[::89]]
+        rng = np.random.default_rng(34)
+        for i, rp in enumerate(radii):
+            yield float(rng.uniform(0.0, 1.0)), float(rp), thetas[i % len(thetas)]
+        for i, hp in enumerate(thetas):
+            yield float(rng.uniform(0.0, 1.0)), radii[(7 * i) % len(radii)], hp
+
+    def test_bucket_edges_and_wrap(self):
+        pool = _sample_pool(self.REGION, 100_000, 5)
+        assert pool.banded
+        queries = list(self.edge_queries(pool))
+        assert len(queries) > 150
+        for q in queries:
+            assert _count_pool(pool, *q) == self.full_scan(pool, q), q
+
+    def test_random_queries_match_full_scan(self):
+        # seeded property test over the whole tube, including its rims
+        pool = _sample_pool(self.REGION, 100_000, 6)
+        rng = np.random.default_rng(35)
+        tps = rng.uniform(0.0, 1.0, 300)
+        rps = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 300))
+        hps = rng.uniform(-10.0, 20.0, 300)
+        for q in zip(tps, rps, hps):
+            q = tuple(float(v) for v in q)
+            assert _count_pool(pool, *q) == self.full_scan(pool, q), q
+
+    def test_small_radius_queries_around_the_wrap(self):
+        # at small r_p the far side phi ~ +-pi is reachable within the tube,
+        # so the bucket across phi = +-pi decides counts near its T_lo
+        pool = _sample_pool(self.REGION, 100_000, 5)
+        for rp in (0.01, 0.03, 0.1):
+            for hp in np.linspace(0.0, TWO_PI, 97):
+                q = (0.2, rp, float(hp))
+                assert _count_pool(pool, *q) == self.full_scan(pool, q), q
+
+    def test_points_on_the_time_rims(self):
+        # tau = t_max and tau = t_min in every bucket: the key stride keeps
+        # each bucket's points together though tau - t_min reaches span
+        region = TubeRegion(0.0, 2.0, -0.5, 0.5)
+        ring = (np.arange(32) + 0.5) * (2.0 / 32)
+        sector = (np.arange(32) + 0.5) * (TWO_PI / 32)
+        r = np.repeat(ring, 64)
+        th = np.tile(np.repeat(sector, 2), 32)
+        tau = np.tile([-0.5, 0.5], 32 * 32)
+        shuffle = np.random.default_rng(37).permutation(tau.size)
+        tau, r, th = tau[shuffle], r[shuffle], th[shuffle]
+        pool = self.sorted_pool(region, tau, r, th)
+        assert pool.start.size == 32 * 32
+        for k, (a, b) in enumerate(zip(pool.start, pool.stop)):
+            assert list(pool.tau[a:b]) == [-0.5, 0.5]
+            assert pool.r_lo[k] == pool.r_hi[k] and pool.h_lo[k] == pool.h_hi[k]
+        for q in [(0.0, 0.0, 0.0), (0.0, 0.5, 1.0), (0.2, 1.5, 5.0)]:
+            assert _count_pool(pool, *q) == TestCountMembers.scalar_counts(tau, r, th, q)
+
+    def test_shifted_region(self):
+        # a region away from t = 0: the key offsets and thresholds carry t_min
+        region = TubeRegion(0.0, 1.5, 10.0, 13.0)
+        pool = _sample_pool(region, 50_000, 7)
+        assert pool.banded
+        rng = np.random.default_rng(36)
+        for _ in range(100):
+            q = tuple(float(rng.uniform(a, b)) for a, b in ((10.0, 13.0), (0.0, 1.5), (0.0, 7.0)))
+            assert _count_pool(pool, *q) == self.full_scan(pool, q), q
+
+    def test_large_region_evaluates_whole_buckets(self):
+        # at this scale rounding could reach the band, so nothing is banded
+        region = TubeRegion(0.0, 1000.0, 0.0, 2000.0)
+        pool = _sample_pool(region, 20_000, 8)
+        assert not pool.banded
+        for q in [(1000.0, 300.0, 1.0), (1500.0, 0.0, 0.0), (500.0, 900.0, 4.0)]:
+            counts = _count_pool(pool, *q)
+            assert counts == self.full_scan(pool, q)
+        assert counts[0] > 0 and counts[1] > 0
+
+    def test_pool_is_sorted_by_bucket_then_tau(self):
+        pool = _sample_pool(self.REGION, 20_000, 9)
+        assert np.all(np.diff(pool.key) >= 0.0)
+        for a, b in zip(pool.start, pool.stop):
+            assert np.all(np.diff(pool.tau[a:b]) >= 0.0)
+        assert pool.stop[-1] == 20_000
+        for arr in (pool.tau, pool.r, pool.th, pool.key):
+            assert not arr.flags.writeable
