@@ -14,9 +14,7 @@ from .causal import (
     ReachabilityGrid,
     VolumeTimeResult,
     btz_causal_future,
-    btz_causally_reachable,
     btz_connecting_curve,
-    decompose_btz,
     grid_reachability,
     reachability_closed_form,
     sample_causal_curves,
@@ -47,7 +45,6 @@ from .errors import (
     GeometryError,
     GluingMismatchError,
     InvalidIsometryError,
-    MalformedCurveError,
     NotBTZExtendableError,
     SingularPointError,
 )
@@ -69,7 +66,6 @@ from .lorentz import (
     classify_vector,
     fixed_null_direction,
     hyperboloid_embed,
-    minkowski_causal,
     minkowski_inner,
     q_form,
     rotation_about_t_axis,
@@ -82,7 +78,6 @@ from .models import (
     chart_form,
     circle_circumference,
     in_region,
-    is_extremal,
     is_singular,
     is_valid_cone_angle,
     metric_at,
@@ -110,7 +105,6 @@ from .surfaces import (
     assemble_cauchy,
     completeness_certificate,
     delta_field,
-    divergence_check,
     extend_boundary_cap,
     extend_boundary_complete,
     hyperbolic_plane_surface,

@@ -84,7 +84,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, MalformedCurveError, SingularPointError
+from .errors import DegenerateMeasureError, SingularPointError
 from .develop import develop_btz, develop_btz_inverse
 from .lorentz import causal_label
 from .models import ModelPoint, TubeRegion, TWO_PI, chart_form, in_region
@@ -98,9 +98,11 @@ def _wrap_pi(x):
 
 
 def _as_point(p) -> ModelPoint:
-    """A query point as a :class:`ModelPoint`; tuples are (tau, r, theta) of
-    the extremal tube and are validated there."""
+    """A point of the extremal tube as a :class:`ModelPoint`; tuples are
+    (tau, r, theta) and are validated there, other cone angles raise."""
     if isinstance(p, ModelPoint):
+        if p.angle != 0.0:
+            raise ValueError(f"cone angle mismatch: point {p.angle!r}, extremal tube 0.0")
         return p
     t, r, h = (float(v) for v in p)
     return ModelPoint(0.0, t, r, h)
@@ -116,15 +118,16 @@ def _as_triple(p):
 # =========================================================================
 
 
-def tangent_class(alpha, point_or_r, v, tol=_DEFAULT_TOL):
+def tangent_class(alpha, point_or_r, v):
     """Causal class of a chart tangent vector at radius r > 0.
 
     ``point_or_r`` is a :class:`ModelPoint` or a bare radius.  Returns the
     same labels as :func:`btzgeo.lorentz.classify_vector`, from the chart
     form of the alpha-model; the future side is decided by the time
     component (any causal vector with vanishing time component is zero in
-    these metrics).  Non-finite vectors and a point of another cone angle
-    raise ``ValueError``.
+    these metrics); the null cut is 1e-9 of the vector's squared size.
+    Non-finite vectors and a point of another cone angle raise
+    ``ValueError``.
     """
     c_tt, c_tr, s = chart_form(alpha)
     if isinstance(point_or_r, ModelPoint):
@@ -142,7 +145,7 @@ def tangent_class(alpha, point_or_r, v, tol=_DEFAULT_TOL):
         if float(np.dot(v, v)) == 0.0:
             return "zero"
         q = v[0] * (c_tt * v[0] + c_tr * v[1]) + v[1] ** 2 + (s * r * v[2]) ** 2
-        cut = tol * (v[0] ** 2 + v[1] ** 2 + (r * v[2]) ** 2)
+        cut = _DEFAULT_TOL * (v[0] ** 2 + v[1] ** 2 + (r * v[2]) ** 2)
     return causal_label(q, cut, v[0])
 
 
@@ -243,26 +246,6 @@ def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
     return kinds, first_bad
 
 
-def decompose_btz(samples):
-    """Split a curve of the extremal tube into its line prefix and regular tail.
-
-    Singular samples (r = 0) of a causal curve can only form a contiguous
-    initial segment (the radius never decreases); otherwise
-    :class:`MalformedCurveError` is raised.  Either part may be empty.
-    """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("expected an (n, 3) sample array")
-    on_line = pts[:, 1] == 0.0
-    k = int(np.argmax(~on_line)) if np.any(~on_line) else pts.shape[0]
-    if np.any(on_line[k:]):
-        bad = k + int(np.argmax(on_line[k:]))
-        raise MalformedCurveError(
-            f"singular sample at index {bad} after regular samples"
-        )
-    return pts[:k], pts[k:]
-
-
 # =========================================================================
 # Closed-form causal relation (extremal tube)
 # =========================================================================
@@ -303,11 +286,6 @@ def btz_causal_future(p, q, tol=_DEFAULT_TOL) -> str:
     if dt >= -s_len and dr >= -s_len and margin >= -s_q:
         return "boundary"
     return "outside"
-
-
-def btz_causally_reachable(p, q, tol=_DEFAULT_TOL) -> bool:
-    """Membership of q in the (closed) causal future J+(p)."""
-    return btz_causal_future(p, q, tol=tol) != "outside"
 
 
 def btz_connecting_curve(p, q):
@@ -615,12 +593,14 @@ def volume_time(
 # Random causal curves
 # =========================================================================
 
+_LINE_FRACTION = 0.3  # share of sampled curves that start on the line
 
-def sample_causal_curves(region: TubeRegion, n_curves, seed=0, line_fraction=0.3):
+
+def sample_causal_curves(region: TubeRegion, n_curves, seed=0):
     """Random validated causal curves inside an extremal tube region.
 
-    Returns a list of (9, 3) sample arrays (8 steps).  A ``line_fraction``
-    share of the curves starts on the singular line (two line steps and a
+    Returns a list of (9, 3) sample arrays (8 steps).  The last 30% of the
+    curves (rounded) start on the singular line (two line steps and a
     null-bounded exit), the rest start at regular points; every generated
     segment satisfies the secant test by construction, and radii never
     decrease.
@@ -631,7 +611,7 @@ def sample_causal_curves(region: TubeRegion, n_curves, seed=0, line_fraction=0.3
     rng = np.random.default_rng(seed)
     span = region.t_max - region.t_min
     radius = region.radius
-    n_line = int(round(line_fraction * n_curves))
+    n_line = int(round(_LINE_FRACTION * n_curves))
     n_reg = n_curves - n_line
     curves = []
 

@@ -37,6 +37,8 @@ from .lorentz import (
 )
 from .models import TWO_PI, is_valid_cone_angle
 
+_MATCH_TOL = 1.0e-9
+
 # =========================================================================
 # Extremal (BTZ-type) tube
 # =========================================================================
@@ -221,26 +223,27 @@ def boost_conjugate(g: LorentzIsometry, rapidity) -> LorentzIsometry:
         [[ch, -sh, 0.0], [-sh, ch, 0.0], [0.0, 0.0, 1.0]], dtype=np.longdouble
     ) @ rot.T
     out = (h @ lin @ h_inv).astype(float)
-    result = LorentzIsometry(out, h.astype(float) @ g.translation)
+    result = LorentzIsometry(out)
     if classify_isometry(result)["kind"] != "parabolic":
         raise ValueError("conjugation left the parabolic class; check the input")
     return result
 
 
-def match_cone_charts(alpha, beta, tol=1.0e-9) -> bool:
+def match_cone_charts(alpha, beta) -> bool:
     """Whether two singular model tubes are isometric preserving the line.
 
     The cone angle is a complete invariant of the singular models: the
     circumference law (massive) and the rescaling obstruction recorded by
     :func:`rescale_btz` (extremal) leave no moduli.  Regular tubes
-    (angle 2 pi) are excluded: they carry no distinguished line.
+    (angle 2 pi) are excluded: they carry no distinguished line.  Angles are
+    compared to within 1e-9.
     """
     for val in (alpha, beta):
         if not is_valid_cone_angle(val):
             raise ValueError(f"invalid cone angle {val!r}")
-        if abs(val - TWO_PI) <= tol:
+        if abs(val - TWO_PI) <= _MATCH_TOL:
             raise ValueError("regular tubes (angle 2 pi) have no singular line")
-    return abs(alpha - beta) <= tol
+    return abs(alpha - beta) <= _MATCH_TOL
 
 
 def developing_report(alpha) -> dict:

@@ -13,11 +13,6 @@ class InvalidIsometryError(GeometryError):
     """A matrix failed the Lorentz-group membership checks."""
 
 
-class MalformedCurveError(GeometryError):
-    """A sampled curve violates a structural precondition (e.g. singular
-    samples not forming a contiguous initial segment)."""
-
-
 class DegenerateMeasureError(GeometryError):
     """A volume-time estimate has a vanishing past or future volume, so the
     logarithm is undefined.

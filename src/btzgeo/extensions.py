@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .causal import _as_point
 from .develop import btz_holonomy_generator
 from .errors import NotBTZExtendableError
 from .lorentz import LorentzIsometry, classify_isometry
-from .models import TWO_PI, ModelPoint, is_singular, is_valid_cone_angle
+from .models import TWO_PI, is_singular, is_valid_cone_angle
 from .surfaces import BoundaryCurve, GraphSurface, extend_boundary_complete
 
 _ANGLE_TOL = 1.0e-9
@@ -138,23 +139,14 @@ def remove_btz(chart: TubeChart, boundary: BoundaryCurve | None = None):
 
 @dataclass(frozen=True)
 class RegionSpacetime:
-    """A named region of the extremal tube with a membership predicate."""
+    """A named region of the extremal tube with a membership predicate,
+    which raises ``ValueError`` on a point of another cone angle."""
 
     name: str
-    description: str
     contains: callable
 
     def __contains__(self, point) -> bool:
         return bool(self.contains(point))
-
-
-def _coerce_point(p) -> ModelPoint:
-    if isinstance(p, ModelPoint):
-        if p.angle != 0.0:
-            raise ValueError("chain regions live in the extremal tube")
-        return p
-    t, r, h = (float(v) for v in p)
-    return ModelPoint(0.0, t, r, h)
 
 
 def mixed_extension_chain():
@@ -175,28 +167,28 @@ def mixed_extension_chain():
     """
 
     def in_m0(p):
-        q = _coerce_point(p)
+        q = _as_point(p)
         return q.r > 0.0 and q.time < 0.0
 
     def in_m1(p):
-        q = _coerce_point(p)
+        q = _as_point(p)
         return q.r > 0.0 and q.time < 0.5 * q.r
 
     def in_m2(p):
-        q = _coerce_point(p)
+        q = _as_point(p)
         if q.r == 0.0:
             return q.time < 0.0
         return in_m1(q)
 
     def in_m3(p):
-        _coerce_point(p)
+        _as_point(p)
         return True
 
     return [
-        RegionSpacetime("M0", "regular slab below time 0", in_m0),
-        RegionSpacetime("M1", "complement of the closed causal future of p0", in_m1),
-        RegionSpacetime("M2", "M1 with the past half-line adjoined", in_m2),
-        RegionSpacetime("M3", "the full extremal tube", in_m3),
+        RegionSpacetime("M0", in_m0),
+        RegionSpacetime("M1", in_m1),
+        RegionSpacetime("M2", in_m2),
+        RegionSpacetime("M3", in_m3),
     ]
 
 

@@ -4,9 +4,9 @@ Minkowski space here is R^3 with coordinates (t, x, y) and quadratic form
 
     q(v) = -t^2 + x^2 + y^2,
 
-i.e. signature (-, +, +).  The identity component of its isometry group is
-SO0(1,2) (linear part) extended by translations.  Elements of SO0(1,2) fall
-into three conjugacy types, distinguished by the trace of the linear part:
+i.e. signature (-, +, +).  Every isometry used here is linear, an element of
+the identity component SO0(1,2).  Its elements fall into three conjugacy
+types, distinguished by the trace:
 
 * elliptic   (trace < 3): conjugate to a rotation about a timelike axis,
 * parabolic  (trace = 3, not identity): fixes a single null line,
@@ -19,7 +19,7 @@ construction of :class:`LorentzIsometry` and never mutated afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +65,14 @@ def causal_label(q, cut, t):
     return f"timelike-{side}"
 
 
-def classify_vector(v, tol=_CLASSIFY_TOL):
+def classify_vector(v):
     """Classify a single vector of E^{1,2}.
 
     Returns one of ``"zero"``, ``"spacelike"``, ``"lightlike-future"``,
     ``"lightlike-past"``, ``"timelike-future"``, ``"timelike-past"``.
 
     The tolerance is relative to the Euclidean size of ``v``: a vector is
-    treated as null when ``|q(v)| <= tol * |v|^2``.  Non-finite vectors raise
+    treated as null when ``|q(v)| <= 1e-9 |v|^2``.  Non-finite vectors raise
     ``ValueError`` (see :func:`causal_label`).
     """
     v = np.asarray(v, dtype=float)
@@ -81,21 +81,7 @@ def classify_vector(v, tol=_CLASSIFY_TOL):
         if norm2 == 0.0:
             return "zero"
         q = float(q_form(v))
-    return causal_label(q, tol * norm2, v[0])
-
-
-def minkowski_causal(u, v, tol=_CLASSIFY_TOL):
-    """Whether the displacement ``v - u`` is future causal (q <= 0, dt > 0).
-
-    Points equal within exact float comparison are causally related
-    (reflexivity of J+).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.array_equal(u, v):
-        return True
-    kind = classify_vector(v - u, tol=tol)
-    return kind in ("lightlike-future", "timelike-future")
+    return causal_label(q, _CLASSIFY_TOL * norm2, v[0])
 
 
 def hyperboloid_embed(x, y):
@@ -127,25 +113,20 @@ def _as_float_matrix(m):
 
 @dataclass(frozen=True, eq=False)
 class LorentzIsometry:
-    """An orientation- and time-orientation-preserving isometry of E^{1,2}.
+    """An orientation- and time-orientation-preserving linear isometry of
+    E^{1,2}, an element of SO0(1,2).
 
     ``linear`` must satisfy ``L^T eta L = eta`` to 1e-12 (relative to the
     squared matrix magnitude once entries exceed 1, since evaluating the
     residual itself costs eps * |L|^2 in floats), ``det L = +1`` and
     ``L[0,0] >= 1 - 1e-12`` (time orientation); otherwise the constructor
-    raises :class:`InvalidIsometryError`.  ``translation`` defaults to zero.
+    raises :class:`InvalidIsometryError`.
     """
 
     linear: np.ndarray
-    translation: np.ndarray = field(default=None)
 
     def __post_init__(self):
         lin = _as_float_matrix(self.linear)
-        trn = (
-            np.zeros(3)
-            if self.translation is None
-            else np.array(self.translation, dtype=float).reshape(3)
-        )
         eta = MINKOWSKI_METRIC
         scale = max(1.0, float(np.max(np.abs(lin))) ** 2)
         residual = np.max(np.abs(lin.T @ eta @ lin - eta))
@@ -161,27 +142,18 @@ class LorentzIsometry:
                 f"time orientation reversed: L[0,0] = {lin[0, 0]!r}"
             )
         lin.setflags(write=False)
-        trn.setflags(write=False)
         object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "translation", trn)
 
     # -- group structure ---------------------------------------------------
 
-    def apply(self, v):
-        """Apply to one point/vector or a stack shaped (..., 3)."""
-        v = np.asarray(v, dtype=float)
-        return v @ self.linear.T + self.translation
-
     def apply_linear(self, v):
-        """Apply only the linear part (for tangent vectors)."""
+        """Apply to one vector or a stack shaped (..., 3)."""
         v = np.asarray(v, dtype=float)
         return v @ self.linear.T
 
     def compose(self, other: "LorentzIsometry") -> "LorentzIsometry":
         """self after other: (self @ other)(v) = self(other(v))."""
-        lin = self.linear @ other.linear
-        trn = self.linear @ other.translation + self.translation
-        return LorentzIsometry(lin, trn)
+        return LorentzIsometry(self.linear @ other.linear)
 
     def __matmul__(self, other):
         if isinstance(other, LorentzIsometry):
@@ -191,14 +163,7 @@ class LorentzIsometry:
     def inverse(self) -> "LorentzIsometry":
         # eta-orthogonality gives L^-1 = eta L^T eta exactly.
         eta = MINKOWSKI_METRIC
-        lin_inv = eta @ self.linear.T @ eta
-        return LorentzIsometry(lin_inv, -(lin_inv @ self.translation))
-
-    def isclose(self, other: "LorentzIsometry", tol=1.0e-9) -> bool:
-        return (
-            np.max(np.abs(self.linear - other.linear)) <= tol
-            and np.max(np.abs(self.translation - other.translation)) <= tol
-        )
+        return LorentzIsometry(eta @ self.linear.T @ eta)
 
     # -- convenience -------------------------------------------------------
 
@@ -223,29 +188,30 @@ def boost_tx(rapidity) -> LorentzIsometry:
     )
 
 
-def classify_isometry(g, tol=_CLASSIFY_TOL):
-    """Conjugacy class of the linear part of ``g``.
+def classify_isometry(g):
+    """Conjugacy class of ``g``, a :class:`LorentzIsometry` or a 3x3 matrix.
 
     Returns a dict with keys ``kind`` (``"identity"``, ``"elliptic"``,
     ``"parabolic"`` or ``"hyperbolic"``), ``trace`` and, when applicable,
     ``angle`` (elliptic rotation angle in (0, pi]) or ``stretch`` (hyperbolic
     expansion factor lambda >= 1).
 
-    The trace decides the class: trace < 3 - tol is elliptic with
-    angle = arccos((trace - 1)/2); |trace - 3| <= tol is the identity when the
-    matrix is close to I and parabolic otherwise; trace > 3 + tol is
-    hyperbolic with lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.
+    The trace decides the class, with tol = 1e-9: trace < 3 - tol is
+    elliptic with angle = arccos((trace - 1)/2); |trace - 3| <= tol is the
+    identity when the matrix is within sqrt(tol) of I and parabolic
+    otherwise; trace > 3 + tol is hyperbolic with
+    lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.
     """
     lin = g.linear if isinstance(g, LorentzIsometry) else _as_float_matrix(g)
     tr = float(np.trace(lin))
     out = {"kind": None, "trace": tr}
-    if tr < 3.0 - tol:
+    if tr < 3.0 - _CLASSIFY_TOL:
         # arccos argument clipped: trace -1 (half-turn) may round below -1.
         arg = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
         out["kind"] = "elliptic"
         out["angle"] = float(np.arccos(arg))
-    elif tr <= 3.0 + tol:
-        if np.max(np.abs(lin - np.eye(3))) <= math.sqrt(tol):
+    elif tr <= 3.0 + _CLASSIFY_TOL:
+        if np.max(np.abs(lin - np.eye(3))) <= math.sqrt(_CLASSIFY_TOL):
             out["kind"] = "identity"
         else:
             out["kind"] = "parabolic"
@@ -257,23 +223,24 @@ def classify_isometry(g, tol=_CLASSIFY_TOL):
     return out
 
 
-def fixed_null_direction(g, tol=1.0e-9):
+def fixed_null_direction(g):
     """A future null vector fixed by a parabolic element, scaled to t = 1.
 
-    Computed as the null space of (L - I) via SVD.  Raises ``ValueError`` if
-    the input is not parabolic or the fixed direction is not null-future.
+    Computed as the null space of (L - I) via SVD, to the tolerance 1e-9.
+    Raises ``ValueError`` if the input is not parabolic or the fixed
+    direction is not null-future.
     """
     info = classify_isometry(g)
     if info["kind"] != "parabolic":
         raise ValueError(f"expected a parabolic isometry, got {info['kind']}")
     lin = g.linear if isinstance(g, LorentzIsometry) else _as_float_matrix(g)
     _, sing, vt = np.linalg.svd(lin - np.eye(3))
-    if sing[-1] > tol:
+    if sing[-1] > _CLASSIFY_TOL:
         raise ValueError("no fixed direction found within tolerance")
     v = vt[-1]
-    if abs(v[0]) < tol:
+    if abs(v[0]) < _CLASSIFY_TOL:
         raise ValueError("fixed direction has vanishing time component")
     v = v / v[0]
-    if abs(float(q_form(v))) > tol * float(np.dot(v, v)):
+    if classify_vector(v) != "lightlike-future":
         raise ValueError("fixed direction is not null")
     return v

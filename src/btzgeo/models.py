@@ -60,12 +60,6 @@ def is_valid_cone_angle(alpha) -> bool:
     return alpha == 0.0 or 0.0 < alpha <= TWO_PI + _ANGLE_TOL
 
 
-def is_extremal(alpha) -> bool:
-    """True for the BTZ-type tube (alpha = 0)."""
-    _check_angle(alpha)
-    return alpha == 0.0
-
-
 def is_singular(alpha) -> bool:
     """True when r = 0 is a genuine singular line (alpha != 2pi)."""
     _check_angle(alpha)
@@ -97,13 +91,6 @@ class ModelPoint:
             raise ValueError(f"non-finite coordinate in {self!r}")
         if self.r < 0.0:
             raise ValueError(f"negative radius {self.r!r}")
-
-    @property
-    def on_line(self) -> bool:
-        return self.r == 0.0
-
-    def coords(self) -> np.ndarray:
-        return np.array([self.time, self.r, self.theta], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -208,21 +195,12 @@ class OmegaTransform:
     (theta unchanged) pulls the omega-family metric at
     omega = tanh(beta) = sqrt(1 - (alpha/2pi)^2) back to the massive cone
     metric of angle alpha.  For alpha = 2pi it is the identity with omega = 0.
+    The map is linear, so :meth:`jacobian` is the map itself.
     """
 
     alpha: float
     beta: float
     omega: float
-
-    def apply(self, points):
-        """Map (t, r, theta) points, shaped (..., 3), to (tau, rho, theta)."""
-        points = np.asarray(points, dtype=float)
-        c, s = math.cosh(self.beta), math.sinh(self.beta)
-        out = np.empty_like(points)
-        out[..., 0] = points[..., 0] * c - points[..., 1] * s
-        out[..., 1] = points[..., 1] / c
-        out[..., 2] = points[..., 2]
-        return out
 
     def jacobian(self) -> np.ndarray:
         c, s = math.cosh(self.beta), math.sinh(self.beta)

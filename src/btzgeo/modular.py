@@ -39,10 +39,11 @@ import numpy as np
 
 from .errors import GluingMismatchError
 from .lorentz import LorentzIsometry, classify_isometry, minkowski_inner, q_form
-from .models import TWO_PI
 
 S_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])
 T_MATRIX = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+_RAY_TOL = 1.0e-12
 
 _BASIS = (
     0.5 * np.array([[0.0, -1.0], [1.0, 0.0]]),  # e_t
@@ -74,12 +75,6 @@ def psl2z_generators() -> dict:
         "S": LorentzIsometry(sl2_adjoint(S_MATRIX)),
         "T": LorentzIsometry(sl2_adjoint(T_MATRIX)),
     }
-
-
-def mobius(a, z):
-    """Fractional linear action of a 2x2 matrix on the upper half plane."""
-    a = np.asarray(a, dtype=float)
-    return (a[0, 0] * z + a[0, 1]) / (a[1, 0] * z + a[1, 1])
 
 
 def uhp_to_hyperboloid(z) -> np.ndarray:
@@ -381,11 +376,6 @@ def polyhedral_cauchy_surface(t0=1.0) -> PolyhedralSurface:
     )
 
 
-def gauss_bonnet_defect(surface: PolyhedralSurface) -> float:
-    """Total angle defect sum(2 pi - cone angle) over vertex classes."""
-    return float(sum(TWO_PI - k for k in surface.cone_angles.values()))
-
-
 def _barycentric(p, tri):
     v0 = tri[1] - tri[0]
     v1 = tri[2] - tri[0]
@@ -396,14 +386,15 @@ def _barycentric(p, tri):
     return np.array([1.0 - b1 - b2, b1, b2])
 
 
-def ray_intersection_count(surface: PolyhedralSurface, direction, tol=1.0e-12) -> int:
+def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
     """Number of distinct intersection points of a future ray with the slice.
 
     ``direction`` is a future-pointing vector (d_t > 0); the ray is
     {s * direction : s > 0}.  Both slice triangles lie in the plane
     time = t0, so the ray meets the plane once and the count is 1 when that
     point lies in the union of the triangles (points on shared edges or
-    vertices are counted once) and 0 otherwise.
+    vertices, to barycentric coordinates of -1e-12, are counted once) and 0
+    otherwise.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
@@ -413,7 +404,7 @@ def ray_intersection_count(surface: PolyhedralSurface, direction, tol=1.0e-12) -
     scale = surface.t0 / d[0]
     p = scale * d[1:]
     for tri in surface.coords:
-        if np.all(_barycentric(p, tri) >= -tol):
+        if np.all(_barycentric(p, tri) >= -_RAY_TOL):
             return 1
     return 0
 

@@ -371,32 +371,6 @@ def completeness_certificate(surface: GraphSurface, n_r=256, n_theta=256):
     return math.sqrt(min_r2)
 
 
-def divergence_check(surface: GraphSurface) -> bool:
-    """Heuristic test that the height field grows without bound at the end.
-
-    Samples m_k = min over 256 angles of the field at dyadic radii
-    r_k = radius * 2^-k, k = 1..20.  Divergence is reported when the tail
-    of m_k is strictly increasing and the dyadic increments do not decay
-    (the last increment is at least 0.9 of a mid-tail reference increment).  This
-    catches 1/r- and log-type growth and rejects bounded fields, whose
-    dyadic increments are summable.
-    """
-    if not surface.punctured:
-        raise ValueError("divergence check applies to punctured surfaces")
-    ths = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-    rs = surface.radius * 0.5 ** np.arange(1, 21)
-    mins = np.broadcast_to(
-        surface.tau(rs[:, None], ths), (rs.size, ths.size)
-    ).min(axis=1)
-    half = rs.size // 2
-    tail = mins[half - 1 :]
-    if np.any(np.diff(tail) <= 0.0):
-        return False
-    inc_ref = mins[half] - mins[half - 1]
-    inc_last = mins[-1] - mins[-2]
-    return inc_last >= 0.9 * inc_ref
-
-
 # =========================================================================
 # Surgeries
 # =========================================================================

@@ -15,8 +15,11 @@ from btzgeo import cli
 from btzgeo.causal import (
     MeasureConfig,
     btz_causal_future,
+    btz_connecting_curve,
     grid_reachability,
     sample_causal_curves,
+    tangent_class,
+    validate_causal,
     validate_causal_batch,
     volume_time_report,
 )
@@ -265,11 +268,35 @@ def test_criterion_08_causal_structure():
     kinds, _ = validate_causal_batch(0.0, curves)
     n_valid = int(np.count_nonzero(kinds != "violation"))
     nondecreasing = bool(np.all(np.diff(curves[:, :, 1], axis=1) >= 0.0))
-    ok = mismatches == 0 and n_valid == 10_000 and nondecreasing
+
+    # the closed-form relation is realised: a connecting curve between the
+    # ends of every 50th sampled curve (60 of the 200 start on the line)
+    witness_bad = 0
+    for first, last in zip(curves[::50, 0], curves[::50, -1]):
+        witness = btz_connecting_curve(tuple(first), tuple(last))
+        ends_ok = (
+            np.array_equal(witness[[0, -1], :2], [first[:2], last[:2]])
+            and math.remainder(witness[-1, 2] - last[2], TWO_PI) == 0.0
+            and (first[1] == 0.0 or math.remainder(witness[0, 2] - first[2], TWO_PI) == 0.0)
+        )
+        steps_ok = all(
+            btz_causal_future(tuple(a), tuple(b)) != "outside"
+            for a, b in zip(witness[:-1], witness[1:])
+        )
+        witness_bad += not (ends_ok and steps_ok and validate_causal(0.0, witness).ok)
+    # the null generators of the boundary of J+ from a line point
+    generators_null = all(
+        tangent_class(0.0, r, v) == "lightlike-future"
+        for r in (1.0e-3, 0.5, 1.0)
+        for v in ((0.5, 1.0, 0.0), (1.0, 0.0, 0.0))
+    )
+    ok = (mismatches == 0 and n_valid == 10_000 and nondecreasing
+          and witness_bad == 0 and generators_null)
     _report(8, "causal structure", ok,
             f"grid vs closed form: {mismatches}/{nodes} mismatches over 5 bases "
             f"(41x41x17), {n_valid}/10000 sampled curves valid, "
-            f"radii non-decreasing: {nondecreasing}")
+            f"radii non-decreasing: {nondecreasing}, {witness_bad}/200 "
+            f"connecting curves failed, exit generators null: {generators_null}")
 
 
 def test_criterion_09_volume_time():

@@ -16,7 +16,6 @@ from btzgeo.lorentz import (
     classify_vector,
     fixed_null_direction,
     hyperboloid_embed,
-    minkowski_causal,
     minkowski_inner,
     q_form,
     rotation_about_t_axis,
@@ -60,11 +59,6 @@ class TestQuadraticForm:
         assert classify_vector([0.0, 1.0, 1.0]) == "spacelike"
         assert classify_vector([1.0, 1.0, 0.0]) == "lightlike-future"
         assert classify_vector([-1.0, 0.0, 1.0]) == "lightlike-past"
-
-    def test_causal_order(self):
-        assert minkowski_causal([0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
-        assert not minkowski_causal([0.0, 0.0, 0.0], [1.0, 2.0, 0.0])
-        assert not minkowski_causal([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestHyperboloid:
@@ -115,7 +109,7 @@ class TestLorentzIsometry:
     def test_rotation_composition(self):
         g = rotation_about_t_axis(0.4) @ rotation_about_t_axis(0.8)
         expect = rotation_about_t_axis(1.2)
-        assert g.isclose(expect)
+        assert np.max(np.abs(g.linear - expect.linear)) <= 1e-9
 
     @given(isometries(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     @settings(max_examples=50)

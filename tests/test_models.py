@@ -14,7 +14,6 @@ from btzgeo.models import (
     TubeRegion,
     circle_circumference,
     in_region,
-    is_extremal,
     is_singular,
     is_valid_cone_angle,
     metric_at,
@@ -33,15 +32,10 @@ class TestAngles:
         assert not is_valid_cone_angle(float("nan"))
 
     def test_special_flags(self):
-        assert is_extremal(0.0) and not is_extremal(1.0)
         assert is_singular(0.0) and is_singular(1.0) and not is_singular(TWO_PI)
 
 
 class TestModelPoint:
-    def test_on_line(self):
-        assert ModelPoint(0.0, 1.0, 0.0, 0.0).on_line
-        assert not ModelPoint(0.0, 1.0, 0.5, 0.0).on_line
-
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             ModelPoint(0.0, 0.0, -0.5, 0.0)
@@ -146,12 +140,6 @@ class TestOmegaTransform:
         rho = r / math.cosh(tr.beta)
         pulled = jac.T @ omega_metric_at(tr.omega, rho) @ jac
         assert np.max(np.abs(pulled - metric_at(alpha, r))) < 1e-9
-
-    def test_apply_matches_jacobian(self):
-        # the map is linear, so the jacobian is exactly the difference map
-        tr = omega_transform(1.0)
-        p = np.array([0.7, 1.3, 2.0])
-        assert np.max(np.abs(tr.apply(p) - tr.jacobian() @ p)) < 1e-15
 
 
 class TestCircumference:

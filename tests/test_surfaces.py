@@ -17,7 +17,6 @@ from btzgeo.surfaces import (
     assemble_cauchy,
     completeness_certificate,
     delta_field,
-    divergence_check,
     extend_boundary_cap,
     extend_boundary_complete,
     hyperbolic_plane_surface,
@@ -138,22 +137,9 @@ class TestHyperbolicCap:
             length = surface_length(cap, path)
             assert abs(length - math.log(1.0 / eps)) < 1e-6, f"eps={eps}"
 
-    def test_divergence_heuristic(self):
-        assert divergence_check(hyperbolic_plane_surface(1.0))
-
     def test_flat_cap_is_not_complete(self):
         surf = flat_surface(punctured=True)
         assert completeness_certificate(surf) is None
-        assert not divergence_check(surf)
-
-    def test_divergence_check_broadcasts_the_field(self):
-        # a field of theta alone keeps theta's shape under the broadcast
-        # contract; it is bounded, so not divergent
-        zero = lambda r, th: np.zeros(np.shape(th))
-        surf = GraphSurface.from_functions(
-            0.0, 1.0, lambda r, th: np.cos(th), zero, zero, punctured=True
-        )
-        assert not divergence_check(surf)
 
 
 class TestCompleteSurgery:
@@ -179,7 +165,6 @@ class TestCompleteSurgery:
         assert surf.punctured
         cert = completeness_certificate(surf)
         assert cert is not None and cert >= 1.0
-        assert divergence_check(surf)
 
     def test_radial_length_bound(self):
         # sqrt(1 - 2 f_r) <= 1 - f_r pointwise, so the radial length is at
