@@ -23,7 +23,6 @@ extremal tube.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .develop import btz_holonomy_generator
 from .errors import NotBTZExtendableError
 from .lorentz import LorentzIsometry, classify_isometry
 from .models import TWO_PI, is_singular, is_valid_cone_angle
-from .surfaces import BoundaryCurve, GraphSurface, extend_boundary_complete
+from .surfaces import BoundaryCurve, extend_boundary_complete
 
 _ANGLE_TOL = 1.0e-9
 
@@ -144,9 +143,6 @@ class RegionSpacetime:
 
     name: str
     contains: callable
-
-    def __contains__(self, point) -> bool:
-        return bool(self.contains(point))
 
 
 def mixed_extension_chain():

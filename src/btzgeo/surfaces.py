@@ -24,8 +24,12 @@ length >= C * ln(r1/r0): :func:`completeness_certificate` reports
 C = sqrt(inf r^2 delta) sampled on a grid.  The two surgeries attach to a
 boundary trace b(theta) at r = R either a complete end (slope field
 M (1/r - 1/R) with M = 1 + max b'^2, giving r^2 delta = r^2 + 2M - b'^2 > 1)
-or a compact cap (blended field, constant inside r = R/2, with the slope
-constant doubled until the spacelike slack is certified on a grid).
+or a compact cap (blended field, constant inside r = R/2, with the least
+slope constant M = 2^k whose spacelike slack is certified on a grid).  On the
+cap's blend ring r^2 delta = 2M + g(r, theta) with g free of M, so k is
+predicted from M-free grids and then checked exactly; since every float step
+of the slack is monotone in M, this finds the doubling, and the certified
+slack bits, that trying M = 1, 2, 4, ... in turn would.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import BoundaryMismatchError, CertificationError
 from .models import TWO_PI, chart_form, is_valid_cone_angle
 
 
-# cap certification (extend_boundary_cap): slack floor, grid size, doubling limit
+# cap certification (extend_boundary_cap): slack floor, grid size, largest k of M = 2^k
 _CAP_DELTA_FLOOR = 1.0e-9
 _CAP_GRID = 512
 _CAP_MAX_DOUBLINGS = 60
@@ -288,8 +292,8 @@ def _min_delta(rr, f_r, f_th):
 
     ``rr`` holds the positive grid radii as a column.  r^2 delta =
     r^2 (1 - 2 f_r) - f_th^2 is formed first and then divided by r^2: certified
-    cap constants are computed in this order, which rounds differently from
-    :func:`delta_field`.
+    cap constants are computed in this order (:func:`_cap_min_delta`), which
+    rounds differently from :func:`delta_field`.
     """
     r2delta = rr**2 * (1.0 - 2.0 * f_r) - f_th**2
     return float((r2delta / rr**2).min()), float(r2delta.min())
@@ -402,6 +406,47 @@ def extend_boundary_complete(boundary: BoundaryCurve, radius) -> GraphSurface:
     )
 
 
+def _cap_min_delta(m, rr2, p, f_th2, out):
+    """Min delta on the cap grid at slope constant ``m``, written into ``out``.
+
+    With the M-free grids ``p`` = blend_d(r) b(theta) and ``f_th2`` =
+    (blend(r) b'(theta))^2 and the column ``rr2`` = r^2, this is the
+    arithmetic of :func:`_min_delta` on f_r = p - m / r^2, in the same order.
+    """
+    np.subtract(p, m / rr2, out=out)
+    np.multiply(2.0, out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(rr2, out, out=out)
+    np.subtract(out, f_th2, out=out)
+    np.divide(out, rr2, out=out)
+    return float(out.min())
+
+
+def _predicted_doublings(rr2, p, f_th2, out):
+    """Least k in [0, _CAP_MAX_DOUBLINGS] with 2^k >= M*, from the M-free grids.
+
+    r^2 delta = r^2 (1 - 2 p) + 2M - f_th^2 is linear in M, so the floor
+    delta > _CAP_DELTA_FLOOR holds at a node once M exceeds
+    (f_th^2 - r^2 (1 - 2 p) + _CAP_DELTA_FLOOR r^2) / 2; M* is the largest of
+    these over the grid.  Rounding can put the answer one doubling off and a
+    non-finite M* gives the last doubling; :func:`extend_boundary_cap` checks
+    the predicate exactly, so this only decides where the search starts.
+    """
+    with np.errstate(all="ignore"):  # a prediction must not raise under the caller's errstate
+        np.multiply(2.0, p, out=out)
+        np.subtract(1.0, out, out=out)
+        np.multiply(rr2, out, out=out)
+        np.subtract(f_th2, out, out=out)
+        np.add(out, _CAP_DELTA_FLOOR * rr2, out=out)
+        m_star = 0.5 * float(out.max())
+    if not math.isfinite(m_star):
+        return _CAP_MAX_DOUBLINGS
+    if m_star <= 1.0:
+        return 0
+    mantissa, exponent = math.frexp(m_star)  # m_star = mantissa 2^exponent, mantissa in [1/2, 1)
+    return min(exponent - (mantissa == 0.5), _CAP_MAX_DOUBLINGS)
+
+
 def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
     """Attach a compact cap crossing the line to a boundary trace at r = radius.
 
@@ -411,23 +456,41 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
         tau = M / R                             on r <= R/2,
 
     continuous at r = R/2 (exactly, since 2/R - 1/R = 1/R in binary floats).
-    The slope constant M doubles from 1 until the spacelike slack sampled on
-    a ``_CAP_GRID`` x ``_CAP_GRID`` grid of [R/2, R] x [0, 2 pi) exceeds
-    ``_CAP_DELTA_FLOOR`` = 1e-9 (the inner part is flat, delta = 1);
-    :class:`CertificationError` is raised once M = 2^``_CAP_MAX_DOUBLINGS``
+    The slope constant is the least M = 2^k, 0 <= k <= ``_CAP_MAX_DOUBLINGS``,
+    whose spacelike slack sampled on a ``_CAP_GRID`` x ``_CAP_GRID`` grid of
+    [R/2, R] x [0, 2 pi) exceeds ``_CAP_DELTA_FLOOR`` = 1e-9 (the inner part
+    is flat, delta = 1); :class:`CertificationError` is raised when 2^60
     fails too.
+
+    The search uses that r^2 delta = 2M + g(r, theta) with g free of M.  The
+    grids of blend_d(r) b(theta) and f_th^2 are built once (the trace and its
+    derivative are evaluated once per angle), :func:`_predicted_doublings`
+    guesses k, and the float predicate is then evaluated exactly at 2^k,
+    stepping down while 2^(k-1) passes too, or up until a doubling passes.
+
+    This finds the doubling that trying M = 1, 2, 4, ... in turn would, with
+    the same ``certified_min_delta`` bits, because passing is monotone in M.
+    Each step of the predicate is a correctly rounded operation monotone in
+    its M-dependent operand: m / r^2 with r^2 > 0 grows with m, p - x falls
+    with x, doubling and 1 - x preserve and reverse order, and the product
+    with and the quotient by r^2 > 0 and the difference with f_th^2 keep it,
+    so each grid value of delta, and their min, is non-decreasing in M.  The
+    min propagates a NaN, which fails; a NaN at a larger M comes only from an
+    infinite p, f_th^2 or r^2 or a zero r^2, each of which already fails, or
+    leaves delta free of M, at every smaller M.  The prediction therefore
+    decides only how many grid passes are made, never the result.
     """
     radius = float(radius)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
 
+    def blend(r):
+        return ((2.0 * r - radius) / radius) ** 2
+
+    def blend_d(r):
+        return 4.0 * (2.0 * r - radius) / radius**2
+
     def make_fields(m):
-        def blend(r):
-            return ((2.0 * r - radius) / radius) ** 2
-
-        def blend_d(r):
-            return 4.0 * (2.0 * r - radius) / radius**2
-
         def tau(r, th):
             outer = blend(r) * boundary.value(th) + m * (1.0 / r - 1.0 / radius)
             return np.where(r >= 0.5 * radius, outer, m / radius)
@@ -441,20 +504,34 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
 
         return tau, tau_r, tau_th
 
+    # every grid radius is >= R/2, where tau_r and tau_th take their outer branch
     rr = np.linspace(0.5 * radius, radius, _CAP_GRID)[:, None]
     tt = np.linspace(0.0, TWO_PI, _CAP_GRID, endpoint=False)[None, :]
-    m = 1.0
-    for _ in range(_CAP_MAX_DOUBLINGS + 1):
-        tau, tau_r, tau_th = make_fields(m)
-        min_delta, _ = _min_delta(rr, tau_r(rr, tt), tau_th(rr, tt))
-        if min_delta > _CAP_DELTA_FLOOR:
-            return GraphSurface.from_functions(
-                0.0, radius, tau, tau_r, tau_th, punctured=False,
-                params={"cap_constant": m, "certified_min_delta": min_delta},
+    rr2 = rr**2
+    p = blend_d(rr) * boundary.value(tt)
+    f_th2 = (blend(rr) * boundary.derivative(tt)) ** 2
+    out = np.empty(np.broadcast_shapes(p.shape, f_th2.shape))
+
+    def min_delta_at(k):
+        return _cap_min_delta(math.ldexp(1.0, k), rr2, p, f_th2, out)
+
+    k = _predicted_doublings(rr2, p, f_th2, out)
+    min_delta = min_delta_at(k)
+    if min_delta > _CAP_DELTA_FLOOR:
+        while k > 0 and (lower := min_delta_at(k - 1)) > _CAP_DELTA_FLOOR:
+            k, min_delta = k - 1, lower
+    while not min_delta > _CAP_DELTA_FLOOR:
+        if k == _CAP_MAX_DOUBLINGS:
+            raise CertificationError(
+                f"no spacelike cap found with slope constant up to 2^{_CAP_MAX_DOUBLINGS}"
             )
-        m *= 2.0
-    raise CertificationError(
-        f"no spacelike cap found with slope constant up to 2^{_CAP_MAX_DOUBLINGS}"
+        k += 1
+        min_delta = min_delta_at(k)
+    m = math.ldexp(1.0, k)
+    tau, tau_r, tau_th = make_fields(m)
+    return GraphSurface.from_functions(
+        0.0, radius, tau, tau_r, tau_th, punctured=False,
+        params={"cap_constant": m, "certified_min_delta": min_delta},
     )
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from btzgeo import cli
 from btzgeo.develop import btz_holonomy_generator, massive_holonomy_generator
-from btzgeo.surfaces import BoundaryCurve, GraphSurface
+from btzgeo.surfaces import GraphSurface
 
 
 def run_cli(capsys, argv):

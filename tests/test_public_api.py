@@ -4,6 +4,9 @@ A name exported from ``btzgeo/__init__.py`` must be used somewhere in
 ``src/btzgeo/`` outside its own definition (so the CLI or a ``verify`` suite
 can reach it), or in ``tests/test_acceptance.py``.  A name that only unit
 tests reach is code that nothing here runs or verifies.
+
+No module in ``src/btzgeo/`` or ``tests/`` imports a name it never reads
+(``__future__`` features and the re-exports of ``btzgeo/__init__.py`` aside).
 """
 
 import ast
@@ -12,7 +15,8 @@ from pathlib import Path
 import btzgeo
 
 PACKAGE = Path(btzgeo.__file__).resolve().parent
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+TESTS = Path(__file__).resolve().parent
+ACCEPTANCE = TESTS / "test_acceptance.py"
 
 
 def _exported():
@@ -54,3 +58,40 @@ def test_every_public_name_is_reached():
             used |= _used(ast.parse(path.read_text()))
     unreached = sorted(_exported() - used)
     assert not unreached, f"public names with no caller in src/ or the gate: {unreached}"
+
+
+def _unused_imports(tree):
+    """Names bound by an import in ``tree`` and never loaded in it."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in bound.items() if name not in loaded)
+
+
+def test_no_unused_imports():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in paths
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert not unused, f"imported but never read: {unused}"
+
+
+def test_unused_import_scan_sees_plain_and_from_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nfrom json import dumps as d, loads\n"
+        "loads(os.path.sep)\n"
+    )
+    assert _unused_imports(tree) == [(2, "math"), (4, "d")]

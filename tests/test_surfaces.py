@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btzgeo import surfaces
 from btzgeo.errors import BoundaryMismatchError, CertificationError
 from btzgeo.models import TWO_PI
 from btzgeo.surfaces import (
     _CAP_GRID,
+    _CAP_MAX_DOUBLINGS,
     BoundaryCurve,
     _min_delta,
     GraphSurface,
@@ -226,11 +228,11 @@ class TestCapSurgery:
     def test_boundary_evaluated_once_per_angle(self):
         # the fields separate in (r, theta): a grid of radii against angles
         # evaluates the boundary trace on the angles only
+        # and once whatever the slope constant
         b, seen = counting_boundary(random_boundary(np.random.default_rng(19), scale=1.0))
         surf = extend_boundary_cap(b, 1.0)
-        doublings = math.log2(surf.params["cap_constant"]) + 1
-        assert doublings > 1
-        assert seen[0] <= 2 * _CAP_GRID * doublings
+        assert surf.params["cap_constant"] > 2.0
+        assert seen[0] <= 2 * _CAP_GRID
 
         b, seen = counting_boundary(random_boundary(np.random.default_rng(19)))
         min_spacelike_slack(extend_boundary_complete(b, 1.0), n_r=256, n_theta=256)
@@ -240,6 +242,113 @@ class TestCapSurgery:
         # a boundary slope of 1e10 needs M beyond the last doubling, 2^60,
         # before the blended slack clears the floor
         b = BoundaryCurve.from_trig(0.0, [1e10])
+        with pytest.raises(CertificationError):
+            doubling_loop_cap(b, 1.0)
+        with pytest.raises(CertificationError):
+            extend_boundary_cap(b, 1.0)
+
+
+def doubling_loop_cap(boundary, radius):
+    """The cap search as a loop over M = 1, 2, 4, ...: (cap_constant, min delta).
+
+    The reference for :func:`extend_boundary_cap`, which must find the same
+    doubling with the same bits without evaluating every one.
+    """
+    rr = np.linspace(0.5 * radius, radius, _CAP_GRID)[:, None]
+    tt = np.linspace(0.0, TWO_PI, _CAP_GRID, endpoint=False)[None, :]
+    blend = ((2.0 * rr - radius) / radius) ** 2
+    blend_d = 4.0 * (2.0 * rr - radius) / radius**2
+    m = 1.0
+    for _ in range(_CAP_MAX_DOUBLINGS + 1):
+        f_r = blend_d * boundary.value(tt) - m / rr**2
+        f_th = blend * boundary.derivative(tt)
+        min_delta, _ = _min_delta(rr, f_r, f_th)
+        if min_delta > 1.0e-9:
+            return m, min_delta
+        m *= 2.0
+    raise CertificationError("no cap")
+
+
+def criterion_6_boundaries():
+    rng = np.random.default_rng(106)
+    return [
+        BoundaryCurve.from_trig(rng.normal(), rng.normal(size=5) * 0.3, rng.normal(size=5) * 0.3)
+        for _ in range(100)
+    ]
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The slope constants at which the cap predicate is evaluated, in order."""
+    seen = []
+    evaluate = surfaces._cap_min_delta
+
+    def recorded(m, *grids):
+        seen.append(m)
+        return evaluate(m, *grids)
+
+    monkeypatch.setattr(surfaces, "_cap_min_delta", recorded)
+    return seen
+
+
+def assert_same_cap(boundary, radius=1.0):
+    m, min_delta = doubling_loop_cap(boundary, radius)
+    surf = extend_boundary_cap(boundary, radius)
+    assert surf.params["cap_constant"] == m
+    assert float(surf.params["certified_min_delta"]).hex() == min_delta.hex()
+    return m
+
+
+class TestCapSearch:
+    def test_criterion_6_boundaries_match_the_loop(self, passes):
+        constants = set()
+        for b in criterion_6_boundaries():
+            passes.clear()
+            m = assert_same_cap(b)
+            constants.add(m)
+            # the prediction was exact: 2^k passes and 2^(k-1), if any, fails
+            assert passes == ([m] if m == 1.0 else [m, m / 2])
+        assert {2.0**k for k in range(7)} <= constants
+
+    @pytest.mark.parametrize("radius", [0.37, 3.0])
+    def test_other_radii_match_the_loop(self, radius):
+        # at R = 1 the slack is often least at r = 1, where multiplying and
+        # dividing by r^2 is exact and hides a change of operation order
+        for b in criterion_6_boundaries()[:20]:
+            assert_same_cap(b, radius)
+
+    @pytest.mark.parametrize(
+        "constant, m", [("0x1.07ffffffdda3fp+2", 32.0), ("0x1.01fffffff7690p+4", 128.0)]
+    )
+    def test_prediction_one_too_low_steps_up(self, passes, constant, m):
+        # near a tie M* rounds to at most 2^(k-1), yet 2^(k-1) fails
+        b = BoundaryCurve.from_trig(float.fromhex(constant))
+        assert assert_same_cap(b) == m
+        assert passes == [m / 2, m]
+
+    def test_prediction_one_too_high_steps_down(self, passes, monkeypatch):
+        # no boundary tried rounds the prediction up a doubling, so force it
+        predict = surfaces._predicted_doublings
+        monkeypatch.setattr(surfaces, "_predicted_doublings", lambda *grids: predict(*grids) + 1)
+        for b in criterion_6_boundaries()[:10]:
+            passes.clear()
+            m = assert_same_cap(b)
+            assert passes == ([2 * m, m] if m == 1.0 else [2 * m, m, m / 2])
+
+    @pytest.mark.parametrize("start", [0, 3, 59, _CAP_MAX_DOUBLINGS])
+    def test_any_start_finds_the_same_doubling(self, passes, monkeypatch, start):
+        b = criterion_6_boundaries()[0]  # cap constant 2^5
+        monkeypatch.setattr(surfaces, "_predicted_doublings", lambda *grids: start)
+        assert assert_same_cap(b) == 32.0
+        steps = range(start, 6) if start < 5 else range(start, 3, -1)
+        assert passes == [2.0**k for k in steps]
+
+    def test_nan_boundary_raises_like_the_loop(self):
+        b = BoundaryCurve(
+            lambda th: np.full(np.shape(th), np.nan), lambda th: np.zeros(np.shape(th))
+        )
+        with pytest.raises(CertificationError):
+            doubling_loop_cap(b, 1.0)
         with pytest.raises(CertificationError):
             extend_boundary_cap(b, 1.0)
 
