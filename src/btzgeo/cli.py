@@ -394,7 +394,8 @@ def _cmd_extend_adjoin(args):
 def _cmd_extend_remove(args):
     stripped, surface = remove_btz(args.chart, args.boundary)
     if args.surface_out:
-        _surface_to_file(surface, args.surface_out, n_r=args.grid or 128)
+        n = args.grid or 128
+        _surface_to_file(surface, args.surface_out, n_r=n, n_theta=n)
     report = {
         "chart": _chart_to_dict(stripped),
         "surface_slope": surface.params["slope"],

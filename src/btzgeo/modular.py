@@ -377,13 +377,18 @@ def polyhedral_cauchy_surface(t0=1.0) -> PolyhedralSurface:
 
 
 def _barycentric(p, tri):
-    v0 = tri[1] - tri[0]
-    v1 = tri[2] - tri[0]
-    v2 = p - tri[0]
-    den = v0[0] * v1[1] - v0[1] * v1[0]
-    b1 = (v2[0] * v1[1] - v2[1] * v1[0]) / den
-    b2 = (v0[0] * v2[1] - v0[1] * v2[0]) / den
-    return np.array([1.0 - b1 - b2, b1, b2])
+    """Barycentric coordinates of the point ``p`` in ``tri``.
+
+    Python floats round as numpy's do; on two-vectors they skip numpy's
+    per-call overhead, which is most of a ray count's cost.
+    """
+    (ax, ay), (bx, by), (cx, cy) = tri
+    v0x, v0y, v1x, v1y = bx - ax, by - ay, cx - ax, cy - ay
+    v2x, v2y = p[0] - ax, p[1] - ay
+    den = v0x * v1y - v0y * v1x
+    b1 = (v2x * v1y - v2y * v1x) / den
+    b2 = (v0x * v2y - v0y * v2x) / den
+    return 1.0 - b1 - b2, b1, b2
 
 
 def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
@@ -391,10 +396,11 @@ def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
 
     ``direction`` is a future-pointing vector (d_t > 0); the ray is
     {s * direction : s > 0}.  Both slice triangles lie in the plane
-    time = t0, so the ray meets the plane once and the count is 1 when that
-    point lies in the union of the triangles (points on shared edges or
-    vertices, to barycentric coordinates of -1e-12, are counted once) and 0
-    otherwise.
+    time = t0, so the ray meets the plane once, at a point p.  The count is
+    the number of triangles holding p in their interior (barycentric
+    coordinates all > 1e-12), so overlapping triangles count twice; else 1
+    when p lies on the closure of a triangle (to barycentric coordinates of
+    -1e-12, so shared edges and vertices count once), and 0 otherwise.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
@@ -402,11 +408,10 @@ def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
     if d[0] <= 0.0:
         raise ValueError("direction must be future pointing (positive time)")
     scale = surface.t0 / d[0]
-    p = scale * d[1:]
-    for tri in surface.coords:
-        if np.all(_barycentric(p, tri) >= -_RAY_TOL):
-            return 1
-    return 0
+    p = (scale * d[1:]).tolist()
+    bary = [_barycentric(p, tri) for tri in surface.coords.tolist()]
+    interior = sum(all(c > _RAY_TOL for c in b) for b in bary)
+    return interior or int(any(all(c >= -_RAY_TOL for c in b) for b in bary))
 
 
 def sample_interior_rays(surface: PolyhedralSurface, n, seed=0) -> np.ndarray:

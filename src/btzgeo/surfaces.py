@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BoundaryMismatchError, CertificationError
 from .models import TWO_PI, chart_form, is_valid_cone_angle
@@ -160,41 +159,41 @@ class GraphSurface:
     def from_grid(
         alpha, r_nodes, theta_nodes, values, punctured=False, params=None
     ) -> "GraphSurface":
-        """Sampled surface; partials by second-order finite differences.
+        """Sampled surface, bilinear between nodes; partials by finite differences.
 
-        ``theta_nodes`` must be uniform on [0, 2 pi) (the angular direction
-        is treated as periodic); ``r_nodes`` strictly increasing and
-        positive.  Values between nodes are obtained by bilinear
-        interpolation.
+        ``r_nodes`` are positive and increasing, ``theta_nodes`` uniform on
+        [0, 2 pi) from 0 and closed by 2 pi (theta is taken mod 2 pi).  On each
+        axis the cell is i = clip(searchsorted(nodes, x, side="right") - 1, 0,
+        n - 2) with y = (x - nodes[i]) / (nodes[i+1] - nodes[i]); the value
+        v[i,j](1-y0)(1-y1) + v[i,j+1](1-y0)y1 + v[i+1,j]y0(1-y1) + v[i+1,j+1]y0y1
+        is added left to right; radii outside the nodes extrapolate the edge cell.
         """
         r_nodes = np.asarray(r_nodes, dtype=float)
         theta_nodes = np.asarray(theta_nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape != (r_nodes.size, theta_nodes.size):
             raise ValueError("values must be shaped (n_r, n_theta)")
-        if np.any(np.diff(r_nodes) <= 0.0) or r_nodes[0] <= 0.0:
+        if not (r_nodes[0] > 0.0 and np.all(np.diff(r_nodes) > 0.0)):
             raise ValueError("r_nodes must be positive and increasing")
         h_th = TWO_PI / theta_nodes.size
-        if not np.allclose(np.diff(theta_nodes), h_th, rtol=0, atol=1e-12):
-            raise ValueError("theta_nodes must be uniform over [0, 2 pi)")
+        if theta_nodes[0] != 0.0 or not np.all(abs(np.diff(theta_nodes) - h_th) <= 1e-12):
+            raise ValueError("theta_nodes must be uniform over [0, 2 pi) from 0")
+        th_closed = np.append(theta_nodes, TWO_PI)
 
         d_r = np.gradient(values, r_nodes, axis=0, edge_order=2)
         d_th = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h_th)
 
+        def cell(nodes, x):
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+            return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+
         def interp(grid_values):
-            th_ext = np.concatenate([theta_nodes, [theta_nodes[0] + TWO_PI]])
-            v_ext = np.concatenate([grid_values, grid_values[:, :1]], axis=1)
-            rgi = RegularGridInterpolator(
-                (r_nodes, th_ext), v_ext, method="linear",
-                bounds_error=False, fill_value=None,
-            )
+            v = np.concatenate([grid_values, grid_values[:, :1]], axis=1)
 
             def ev(r, th):
-                rr, tt = np.broadcast_arrays(
-                    np.asarray(r, dtype=float), np.mod(th, TWO_PI)
-                )
-                pts = np.stack([rr.ravel(), tt.ravel()], axis=-1)
-                return rgi(pts).reshape(rr.shape)
+                (i, y0), (j, y1) = cell(r_nodes, r), cell(th_closed, np.mod(th, TWO_PI))
+                return (v[i, j] * (1 - y0) * (1 - y1) + v[i, j + 1] * (1 - y0) * y1
+                        + v[i + 1, j] * y0 * (1 - y1) + v[i + 1, j + 1] * y0 * y1)
 
             return ev
 
@@ -491,12 +490,15 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
         return 4.0 * (2.0 * r - radius) / radius**2
 
     def make_fields(m):
+        # outer branches at max(r, R/2): np.where drops them inside, where r = 0 would divide
         def tau(r, th):
-            outer = blend(r) * boundary.value(th) + m * (1.0 / r - 1.0 / radius)
+            ro = np.maximum(r, 0.5 * radius)
+            outer = blend(ro) * boundary.value(th) + m * (1.0 / ro - 1.0 / radius)
             return np.where(r >= 0.5 * radius, outer, m / radius)
 
         def tau_r(r, th):
-            outer = blend_d(r) * boundary.value(th) - m / r**2
+            ro = np.maximum(r, 0.5 * radius)
+            outer = blend_d(ro) * boundary.value(th) - m / ro**2
             return np.where(r >= 0.5 * radius, outer, 0.0)
 
         def tau_th(r, th):

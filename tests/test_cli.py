@@ -209,6 +209,19 @@ class TestSurfaceCommands:
         assert report["spacelike"] is True
         assert "completeness_certificate" not in report
 
+    def test_check_rejects_theta_nodes_off_zero(self, capsys, tmp_path):
+        zero = lambda r, th: np.zeros(np.broadcast(r, th).shape)
+        disc = GraphSurface.from_functions(0.0, 1.0, zero, zero, zero)
+        surf_file = tmp_path / "disc.json"
+        cli._surface_to_file(disc, surf_file, n_r=8, n_theta=16)
+        data = json.loads(surf_file.read_text())
+        data["grid"] = [[r, th + 0.3, tau] for r, th, tau in data["grid"]]
+        surf_file.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["surface", "check", "--surface", str(surf_file)])
+        assert exc.value.code == 2
+        assert "theta_nodes" in capsys.readouterr().err
+
     def test_assemble_happy_and_mismatch(self, capsys, tmp_path):
         zero = lambda r, th: np.zeros(np.broadcast(r, th).shape)
         level = lambda c: lambda r, th: np.full(np.broadcast(r, th).shape, c)
@@ -276,6 +289,19 @@ class TestExtendCommands:
         assert report["chart"]["has_singular_line"] is False
         data = json.loads(surf_file.read_text())
         assert data["punctured"] is True
+
+    def test_remove_grid_sets_both_axes(self, capsys, tmp_path):
+        chart = write_chart(
+            tmp_path / "chart.json", 0.0, True, btz_holonomy_generator()
+        )
+        surf_file = tmp_path / "end.json"
+        code, _ = run_json(
+            capsys,
+            ["extend", "remove", "--chart", str(chart),
+             "--surface-out", str(surf_file), "--grid", "16"],
+        )
+        assert code == 0
+        assert json.loads(surf_file.read_text())["grid_shape"] == [16, 16]
 
     def test_remove_without_line_fails(self, capsys, tmp_path):
         chart = write_chart(
@@ -488,21 +514,29 @@ class TestUsageErrors:
 class TestModuleEntryPoint:
     @staticmethod
     def _run(*argv):
-        # the child imports the btzgeo under test, installed or not
+        # a fresh interpreter that imports the btzgeo under test, installed or not
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "btzgeo", *argv],
+            [sys.executable, *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_python_dash_m(self):
-        out = self._run("verify", "--suite", "modular", "--seed", "7", "--no-timing")
+        out = self._run("-m", "btzgeo", "verify", "--suite", "modular", "--seed", "7",
+                        "--no-timing")
         assert out.returncode == 0
         report = json.loads(out.stdout)
         assert report["summary"]["status"] == "pass"
 
     def test_help_exits_zero(self):
-        out = self._run("--help")
+        out = self._run("-m", "btzgeo", "--help")
         assert out.returncode == 0
         assert "btzgeo" in out.stdout
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is for the tests
+        out = self._run("-c", "import sys, btzgeo, btzgeo.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from btzgeo import surfaces
 from btzgeo.errors import BoundaryMismatchError, CertificationError
@@ -203,6 +204,17 @@ class TestCapSurgery:
         delta = delta_field(surf)(r, np.zeros_like(r))
         assert np.max(np.abs(delta - 1.0)) < 1e-12
 
+    def test_fields_on_the_line(self):
+        # the cap crosses r = 0, where the discarded outer branch would divide by zero
+        b = random_boundary(np.random.default_rng(16))
+        surf = extend_boundary_cap(b, 0.37)
+        th = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        with np.errstate(all="raise"):
+            tau, tau_r = surf.tau(0.0, th), surf.tau_r(0.0, th)
+            tau_th = surf.tau_theta(0.0, th)
+        assert np.all(tau == surf.params["cap_constant"] / 0.37)
+        assert np.all(tau_r == 0.0) and np.all(tau_th == 0.0)
+
     def test_boundary_match(self):
         b = random_boundary(np.random.default_rng(18))
         surf = extend_boundary_cap(b, 1.0)
@@ -393,6 +405,55 @@ class TestGridSurfaces:
                 np.array([0.0, 1.0, 2.0, 5.0]),
                 np.zeros((4, 4)),
             )
+
+    def test_rejects_theta_nodes_not_starting_at_zero(self):
+        # uniform nodes from 0.3 would extrapolate across the wrap instead of
+        # interpolating through theta = 0
+        r_nodes = np.linspace(0.5, 1.0, 5)
+        th_nodes = 0.3 + TWO_PI * np.arange(16) / 16
+        with pytest.raises(ValueError, match="from 0"):
+            GraphSurface.from_grid(0.0, r_nodes, th_nodes, np.tile(np.sin(th_nodes), (5, 1)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fields_match_regular_grid_interpolator(self, seed):
+        # the reader's bilinear formula is scipy's linear RegularGridInterpolator
+        # over the grid closed by 2 pi, bit for bit: nodes, cells, radii outside
+        # the nodes, angles past the wrap, NaN
+        rng = np.random.default_rng(seed)
+        n_r, n_th = int(rng.integers(3, 40)), int(rng.integers(1, 90))
+        if seed % 2:
+            r_nodes = np.geomspace(rng.uniform(1e-4, 0.5), rng.uniform(1.0, 4.0), n_r)
+        else:
+            r_nodes = np.cumsum(rng.uniform(0.01, 1.0, n_r))
+        th_nodes = np.linspace(0.0, TWO_PI, n_th, endpoint=False)
+        values = rng.normal(size=(n_r, n_th)) * 10.0 ** rng.uniform(-3, 3)
+        surf = GraphSurface.from_grid(0.0, r_nodes, th_nodes, values)
+
+        h_th = TWO_PI / n_th
+        th_closed = np.append(th_nodes, TWO_PI)
+        grids = {
+            "tau": values,
+            "tau_r": np.gradient(values, r_nodes, axis=0, edge_order=2),
+            "tau_theta": (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) / (2 * h_th),
+        }
+        r = np.concatenate([
+            r_nodes, rng.uniform(r_nodes[0] - 1.0, r_nodes[-1] + 1.0, 400),
+            [np.nan, 0.0, -0.0, 10.0 * r_nodes[-1]],
+        ])
+        th = np.concatenate([
+            th_nodes, rng.uniform(-20.0, 20.0, 400),
+            [TWO_PI, -0.0, -1e-20, 1e6, np.nan],
+        ])
+        rr, tt = np.meshgrid(r, th, indexing="ij")
+        for name, grid in grids.items():
+            oracle = RegularGridInterpolator(
+                (r_nodes, th_closed), np.concatenate([grid, grid[:, :1]], axis=1),
+                method="linear", bounds_error=False, fill_value=None,
+            )
+            want = oracle(np.stack([rr.ravel(), np.mod(tt, TWO_PI).ravel()], axis=-1))
+            got = getattr(surf, name)(rr, tt)
+            assert got.shape == rr.shape
+            assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64)), name
 
     def test_spacelike_scan(self):
         surf = flat_surface(radius=1.0)
