@@ -49,12 +49,10 @@ from .errors import (
     SingularPointError,
 )
 from .extensions import (
-    RegionSpacetime,
     TubeChart,
     adjoin_btz,
     chain_membership,
     extremal_chart,
-    mixed_extension_chain,
     remove_btz,
     sample_chain_monotone,
 )

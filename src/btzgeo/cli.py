@@ -43,11 +43,11 @@ from .causal import (
 from .develop import develop_btz, develop_massive, developing_report
 from .errors import GeometryError
 from .extensions import (
+    CHAIN_STAGES,
     CITED_CHAIN_POINTS,
     TubeChart,
     adjoin_btz,
     chain_membership,
-    mixed_extension_chain,
     remove_btz,
     sample_chain_monotone,
 )
@@ -410,7 +410,7 @@ def _cmd_extend_chain(args):
     failures = sample_chain_monotone(args.n, seed=args.seed)
     passed = cited_ok and failures == 0
     report = {
-        "stages": [s.name for s in mixed_extension_chain()],
+        "stages": list(CHAIN_STAGES),
         "cited_points": {
             "(" + ", ".join(f"{v:g}" for v in p) + ")": m for p, m in cited.items()
         },

@@ -35,7 +35,7 @@ from .lorentz import (
     fixed_null_direction,
     rotation_about_t_axis,
 )
-from .models import TWO_PI, is_valid_cone_angle
+from .models import TWO_PI, is_singular, is_valid_cone_angle
 
 _MATCH_TOL = 1.0e-9
 
@@ -234,14 +234,14 @@ def match_cone_charts(alpha, beta) -> bool:
 
     The cone angle is a complete invariant of the singular models: the
     circumference law (massive) and the rescaling obstruction recorded by
-    :func:`rescale_btz` (extremal) leave no moduli.  Regular tubes
-    (angle 2 pi) are excluded: they carry no distinguished line.  Angles are
-    compared to within 1e-9.
+    :func:`rescale_btz` (extremal) leave no moduli.  Regular tubes (angle
+    2 pi, as decided by :func:`btzgeo.models.is_singular`) are excluded: they
+    carry no distinguished line.  Angles are compared to within 1e-9.
     """
     for val in (alpha, beta):
         if not is_valid_cone_angle(val):
             raise ValueError(f"invalid cone angle {val!r}")
-        if abs(val - TWO_PI) <= _MATCH_TOL:
+        if not is_singular(val):
             raise ValueError("regular tubes (angle 2 pi) have no singular line")
     return abs(alpha - beta) <= _MATCH_TOL
 

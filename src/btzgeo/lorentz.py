@@ -151,13 +151,10 @@ class LorentzIsometry:
         v = np.asarray(v, dtype=float)
         return v @ self.linear.T
 
-    def compose(self, other: "LorentzIsometry") -> "LorentzIsometry":
-        """self after other: (self @ other)(v) = self(other(v))."""
-        return LorentzIsometry(self.linear @ other.linear)
-
     def __matmul__(self, other):
+        """self after other: (self @ other)(v) = self(other(v))."""
         if isinstance(other, LorentzIsometry):
-            return self.compose(other)
+            return LorentzIsometry(self.linear @ other.linear)
         return NotImplemented
 
     def inverse(self) -> "LorentzIsometry":

@@ -401,10 +401,13 @@ def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
     coordinates all > 1e-12), so overlapping triangles count twice; else 1
     when p lies on the closure of a triangle (to barycentric coordinates of
     -1e-12, so shared edges and vertices count once), and 0 otherwise.
+    A non-finite direction raises ``ValueError``.
     """
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
         raise ValueError("direction must be a 3-vector")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("direction must be finite")
     if d[0] <= 0.0:
         raise ValueError("direction must be future pointing (positive time)")
     scale = surface.t0 / d[0]

@@ -21,7 +21,7 @@ from btzgeo.develop import (
     rescale_btz,
 )
 from btzgeo.lorentz import MINKOWSKI_METRIC, classify_isometry, fixed_null_direction
-from btzgeo.models import TWO_PI, metric_at
+from btzgeo.models import TWO_PI, is_singular, metric_at
 
 RNG = np.random.default_rng(2024)
 
@@ -198,6 +198,14 @@ class TestChartMatching:
         # a full-angle chart carries no singular line to compare
         with pytest.raises(ValueError):
             match_cone_charts(TWO_PI, 1.0)
+
+    def test_regular_means_not_singular(self):
+        # "regular" is decided by models.is_singular: 5e-10 below 2 pi is a
+        # singular cone, 5e-13 below is the regular tube
+        near = TWO_PI - 5e-10
+        assert is_singular(near) and match_cone_charts(near, near)
+        with pytest.raises(ValueError, match="no singular line"):
+            match_cone_charts(TWO_PI - 5e-13, 1.0)
 
 
 class TestReport:

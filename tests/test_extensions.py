@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from btzgeo.develop import btz_holonomy_generator, massive_holonomy_generator
 from btzgeo.errors import NotBTZExtendableError
 from btzgeo.extensions import (
+    CHAIN_STAGES,
     TubeChart,
     adjoin_btz,
     chain_membership,
     extremal_chart,
-    mixed_extension_chain,
     remove_btz,
     sample_chain_monotone,
 )
 from btzgeo.lorentz import LorentzIsometry, rotation_about_t_axis
-from btzgeo.models import TWO_PI
+from btzgeo.models import TWO_PI, ModelPoint, is_singular
 from btzgeo.surfaces import BoundaryCurve, completeness_certificate
 
 
@@ -80,6 +80,18 @@ class TestTubeChartInvariants:
             TubeChart(1.3, 1.0, -1.0, 1.0, True, rotation_about_t_axis(0.7))
         with pytest.raises(ValueError, match="elliptic"):
             TubeChart(1.3, 1.0, -1.0, 1.0, True, btz_holonomy_generator())
+
+    def test_regular_means_not_singular(self):
+        # 5e-10 below 2 pi is a singular angle by models.is_singular, so the
+        # chart takes the massive branch, where so small a rotation is no
+        # elliptic holonomy; 5e-13 below 2 pi is the regular tube
+        near = TWO_PI - 5e-10
+        assert is_singular(near)
+        with pytest.raises(ValueError, match="elliptic"):
+            TubeChart(near, 1.0, -1.0, 1.0, True, massive_holonomy_generator(near))
+        with pytest.raises(ValueError, match="elliptic"):
+            TubeChart(near, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
+        TubeChart(TWO_PI - 5e-13, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
 
     def test_massive_reflex_angle_folds(self):
         # the elliptic class only sees the rotation angle mod sign, so the
@@ -145,8 +157,7 @@ class TestRemove:
 
 class TestChain:
     def test_region_names(self):
-        regions = mixed_extension_chain()
-        assert [reg.name for reg in regions] == ["M0", "M1", "M2", "M3"]
+        assert CHAIN_STAGES == ("M0", "M1", "M2", "M3")
 
     @pytest.mark.parametrize(
         "point, expected",
@@ -162,23 +173,58 @@ class TestChain:
 
     def test_future_of_line_point_excluded_from_m1(self):
         # boundary of the closed future (dt exactly r/2) is excluded too
-        _, m1, m2, _ = mixed_extension_chain()
-        assert not m1.contains((0.5, 1.0, 0.0))
-        assert not m2.contains((0.5, 1.0, 0.0))
-        assert m1.contains((0.49, 1.0, 0.0))
+        pattern = chain_membership([(0.5, 1.0, 0.0), (0.49, 1.0, 0.0)])
+        m1, m2 = pattern[:, 1], pattern[:, 2]
+        assert not m1[0]
+        assert not m2[0]
+        assert m1[1]
 
     def test_past_half_line_only_in_m2(self):
-        _, m1, m2, _ = mixed_extension_chain()
-        assert not m1.contains((-0.5, 0.0, 1.0))
-        assert m2.contains((-0.5, 0.0, 1.0))
-        assert not m2.contains((0.5, 0.0, 1.0))
+        pattern = chain_membership([(-0.5, 0.0, 1.0), (0.5, 0.0, 1.0)])
+        m1, m2 = pattern[:, 1], pattern[:, 2]
+        assert not m1[0]
+        assert m2[0]
+        assert not m2[1]
 
     def test_massive_points_rejected(self):
-        from btzgeo.models import ModelPoint
+        with pytest.raises(ValueError, match="cone angle mismatch"):
+            chain_membership(ModelPoint(math.pi, 0.0, 1.0, 0.0))
 
-        regions = mixed_extension_chain()
-        with pytest.raises(ValueError):
-            regions[0].contains(ModelPoint(math.pi, 0.0, 1.0, 0.0))
+    def test_extremal_model_point_accepted(self):
+        assert chain_membership(ModelPoint(0.0, -1.0, 1.0, 0.0)) == [True] * 4
+
+    @pytest.mark.parametrize("bad, match", [
+        ((math.nan, 1.0, 0.0), "non-finite"),
+        ((0.0, math.inf, 0.0), "non-finite"),
+        ((0.0, 1.0, -math.inf), "non-finite"),
+        ((0.0, -1.0, 0.0), "negative radius"),
+    ])
+    def test_bad_points_raise_for_one_point_and_arrays(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            chain_membership(bad)
+        with pytest.raises(ValueError, match=match):
+            chain_membership([[(0.0, 1.0, 0.0), (1.0, 0.0, 2.0)], [(0.0, 1.0, 0.0), bad]])
+
+    def test_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            chain_membership((0.0, 1.0))
+
+    def test_arrays_match_the_stage_inequalities_point_by_point(self):
+        def stages(t, r):
+            m1 = r > 0.0 and t < 0.5 * r
+            return [r > 0.0 and t < 0.0, m1, m1 or (r == 0.0 and t < 0.0), True]
+
+        # t on the horizon t = r/2, on t = 0 and on the line r = 0
+        rng = np.random.default_rng(4)
+        pts = np.column_stack([
+            rng.choice([-1.0, -0.25, 0.0, 0.25, 0.5, 1.0], 400),
+            rng.choice([0.0, 0.5, 1.0, 2.0], 400),
+            rng.uniform(0.0, TWO_PI, 400),
+        ])
+        pattern = chain_membership(pts.reshape(20, 20, 3))
+        assert pattern.shape == (20, 20, 4) and pattern.dtype == bool
+        assert pattern.reshape(-1, 4).tolist() == [stages(t, r) for t, r, _ in pts.tolist()]
+        assert chain_membership(pts[0]) == stages(*pts[0, :2].tolist())
 
     @given(
         st.floats(-2.0, 2.0),

@@ -236,6 +236,13 @@ class TestRayCounts:
         with pytest.raises(ValueError):
             ray_intersection_count(surf, (-1.0, 0.0, -0.5))
 
+    @pytest.mark.parametrize("d", [
+        (math.nan, 0.0, -0.5), (1.0, math.inf, 0.0), (1.0, 0.0, math.nan),
+    ])
+    def test_non_finite_direction_raises(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            ray_intersection_count(polyhedral_cauchy_surface(1.0), d)
+
     def test_interior_rays_hit_exactly_once(self):
         surf = polyhedral_cauchy_surface(1.3)
         dirs = sample_interior_rays(surf, 300, seed=5)

@@ -1,8 +1,11 @@
 """Planted defects: each test breaks one piece and asserts that a check fails."""
 
 import dataclasses
+import json
 
-from btzgeo import modular, verify
+import numpy as np
+
+from btzgeo import cli, extensions, modular, verify
 
 
 def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):
@@ -19,3 +22,22 @@ def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):
     assert [modular.ray_intersection_count(slice_, d) for d in rays] == [2] * 50
     (check,) = [c for c in verify.suite_modular(7) if c.name == "rays_hit_once"]
     assert not check.passed
+
+
+def test_non_monotone_chain_region_fails_chain_monotone(monkeypatch, capsys):
+    # an M0 that also holds r > 0, r/2 <= t < 1 reaches outside M1
+    membership = extensions.chain_membership
+
+    def widened(points):
+        pts = np.asarray(points, dtype=float)
+        t, r = pts[..., 0], pts[..., 1]
+        pattern = np.array(membership(points))
+        pattern[..., 0] |= (r > 0.0) & (0.5 * r <= t) & (t < 1.0)
+        return pattern.tolist() if pts.ndim == 1 else pattern
+
+    monkeypatch.setattr(extensions, "chain_membership", widened)
+    (check,) = [c for c in verify.suite_extensions(7) if c.name == "chain_monotone"]
+    assert not check.passed
+    assert cli.main(["extend", "example-chain"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+    assert extensions.sample_chain_monotone(10_000, seed=111) > 0

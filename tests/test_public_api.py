@@ -6,7 +6,9 @@ can reach it), or in ``tests/test_acceptance.py``.  A name that only unit
 tests reach is code that nothing here runs or verifies.
 
 No module in ``src/btzgeo/`` or ``tests/`` imports a name it never reads
-(``__future__`` features and the re-exports of ``btzgeo/__init__.py`` aside).
+(``__future__`` features and the re-exports of ``btzgeo/__init__.py`` aside),
+and no module in ``src/btzgeo/`` reaches an underscore-prefixed name of
+another btzgeo module.
 """
 
 import ast
@@ -95,3 +97,46 @@ def test_unused_import_scan_sees_plain_and_from_imports():
         "loads(os.path.sep)\n"
     )
     assert _unused_imports(tree) == [(2, "math"), (4, "d")]
+
+
+def _private_imports(tree):
+    """Underscore names that ``tree`` takes from other btzgeo modules, by
+    ``from`` import or as an attribute of a module bound by ``from . import``."""
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "btzgeo"
+        ):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(alias.name)
+                if not node.module:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.append(node.attr)
+    return found
+
+
+def test_no_private_imports_across_modules():
+    private = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_imports(ast.parse(path.read_text()))
+    ]
+    assert not private, f"private names taken from another module: {private}"
+
+
+def test_private_import_scan_sees_from_imports_and_module_attributes():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from os import _exit\nfrom .causal import _as_point, causal_label\n"
+        "from btzgeo.models import _check_angle\nfrom . import lorentz, models as m\n"
+        "lorentz._CLASSIFY_TOL, m._ANGLE_TOL, lorentz.q_form\n"
+    )
+    assert _private_imports(tree) == ["_as_point", "_check_angle", "_CLASSIFY_TOL", "_ANGLE_TOL"]
