@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .develop import btz_holonomy_generator
+from .develop import btz_holonomy_generator, massive_holonomy_generator
 from .errors import NotBTZExtendableError
 from .lorentz import LorentzIsometry, classify_isometry
-from .models import TWO_PI, ModelPoint, is_singular, is_valid_cone_angle
+from .models import TWO_PI, ModelPoint, TubeRegion, is_singular
 from .surfaces import BoundaryCurve, extend_boundary_complete
 
 _ANGLE_TOL = 1.0e-9
@@ -40,10 +40,13 @@ _ANGLE_TOL = 1.0e-9
 class TubeChart:
     """A solid-tube chart with its deck holonomy.
 
-    Invariants enforced on construction: a chart containing its singular
-    line must have a singular angle, and the holonomy class must match the
-    angle (parabolic iff angle 0; elliptic of the cone angle for massive
-    singular cones; identity for regular tubes).
+    Invariants enforced on construction: the angle, radius and time extent
+    obey :class:`btzgeo.models.TubeRegion`'s rules, a chart containing its
+    singular line must have a singular angle, and the holonomy class must
+    match the angle (parabolic iff angle 0; for massive cones the class of
+    the cone's own rotation, elliptic of the cone angle unless the rotation
+    is too small to classify as anything but the identity; identity for
+    regular tubes).
     """
 
     angle: float
@@ -54,12 +57,7 @@ class TubeChart:
     holonomy: LorentzIsometry
 
     def __post_init__(self):
-        if not is_valid_cone_angle(self.angle):
-            raise ValueError(f"invalid cone angle {self.angle!r}")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if not self.t_min < self.t_max:
-            raise ValueError("empty time interval")
+        TubeRegion(self.angle, self.radius, self.t_min, self.t_max)
         if self.has_singular_line and not is_singular(self.angle):
             raise ValueError("regular tubes contain no singular line")
         info = classify_isometry(self.holonomy)
@@ -74,11 +72,16 @@ class TubeChart:
                     f"regular tubes need trivial holonomy, got {info['kind']}"
                 )
         else:
+            # within ~3e-5 of 0 or 2 pi the cone's own rotation classifies as
+            # the identity, so the holonomy must match that class instead
+            generator = classify_isometry(massive_holonomy_generator(self.angle))
             expected = min(self.angle % TWO_PI, TWO_PI - self.angle % TWO_PI)
-            if info["kind"] != "elliptic" or abs(info["angle"] - expected) > _ANGLE_TOL:
+            if info["kind"] != generator["kind"] or (
+                info["kind"] == "elliptic" and abs(info["angle"] - expected) > _ANGLE_TOL
+            ):
                 raise ValueError(
-                    "massive charts need elliptic holonomy of the cone angle; "
-                    f"got {info['kind']} ({info.get('angle')})"
+                    f"massive charts need {generator['kind']} holonomy of the cone "
+                    f"angle; got {info['kind']} ({info.get('angle')})"
                 )
 
 

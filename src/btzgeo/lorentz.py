@@ -116,11 +116,11 @@ class LorentzIsometry:
     """An orientation- and time-orientation-preserving linear isometry of
     E^{1,2}, an element of SO0(1,2).
 
-    ``linear`` must satisfy ``L^T eta L = eta`` to 1e-12 (relative to the
-    squared matrix magnitude once entries exceed 1, since evaluating the
-    residual itself costs eps * |L|^2 in floats), ``det L = +1`` and
-    ``L[0,0] >= 1 - 1e-12`` (time orientation); otherwise the constructor
-    raises :class:`InvalidIsometryError`.
+    ``linear`` must have finite entries, satisfy ``L^T eta L = eta`` to
+    1e-12 (relative to the squared matrix magnitude once entries exceed 1,
+    since evaluating the residual itself costs eps * |L|^2 in floats), and
+    have ``det L = +1`` and ``L[0,0] >= 1 - 1e-12`` (time orientation);
+    otherwise the constructor raises :class:`InvalidIsometryError`.
     """
 
     linear: np.ndarray
@@ -128,7 +128,11 @@ class LorentzIsometry:
     def __post_init__(self):
         lin = _as_float_matrix(self.linear)
         eta = MINKOWSKI_METRIC
-        scale = max(1.0, float(np.max(np.abs(lin))) ** 2)
+        # the residual checks below pass NaN, so non-finite entries go first
+        peak = float(np.max(np.abs(lin)))
+        if not math.isfinite(peak):
+            raise InvalidIsometryError(f"non-finite entry in L = {lin.tolist()!r}")
+        scale = max(1.0, peak**2)
         residual = np.max(np.abs(lin.T @ eta @ lin - eta))
         if residual > _ORTHO_TOL * scale:
             raise InvalidIsometryError(
@@ -197,9 +201,12 @@ def classify_isometry(g):
     elliptic with angle = arccos((trace - 1)/2); |trace - 3| <= tol is the
     identity when the matrix is within sqrt(tol) of I and parabolic
     otherwise; trace > 3 + tol is hyperbolic with
-    lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.
+    lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.  A matrix with a
+    non-finite entry raises ``ValueError``.
     """
     lin = g.linear if isinstance(g, LorentzIsometry) else _as_float_matrix(g)
+    if not np.all(np.isfinite(lin)):
+        raise ValueError("cannot classify a matrix with a non-finite entry")
     tr = float(np.trace(lin))
     out = {"kind": None, "trace": tr}
     if tr < 3.0 - _CLASSIFY_TOL:

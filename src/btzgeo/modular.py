@@ -55,8 +55,10 @@ _BASIS = (
 def sl2_adjoint(a) -> np.ndarray:
     """Matrix of Ad(a) on sl(2, R) in the (e_t, e_x, e_y) basis."""
     a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("expected a finite matrix")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if abs(det - 1.0) > 1.0e-9:
+    if not abs(det - 1.0) <= 1.0e-9:
         raise ValueError(f"expected det = 1, got {det!r}")
     a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
     cols = []
@@ -81,8 +83,8 @@ def uhp_to_hyperboloid(z) -> np.ndarray:
     """Equivariant embedding of the upper half plane onto {q = -1, t > 0}."""
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
-    if np.any(y <= 0.0):
-        raise ValueError("points must lie in the open upper half plane")
+    if not np.all(np.isfinite(z) & (y > 0.0)):
+        raise ValueError("points must be finite and lie in the open upper half plane")
     return np.stack(
         [(1.0 + x**2 + y**2) / (2.0 * y), x / y, (1.0 - x**2 - y**2) / (2.0 * y)],
         axis=-1,
@@ -94,6 +96,8 @@ def ideal_boundary_ray(x=None) -> np.ndarray:
     if x is None:
         return np.array([1.0, 0.0, -1.0])
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"boundary point must be finite, got {x!r}")
     return np.array([1.0 + x**2, 2.0 * x, 1.0 - x**2])
 
 
@@ -117,6 +121,23 @@ def representation_checks() -> dict:
 # Fundamental triangles and their gluing
 # =========================================================================
 
+# The example's combinatorics, written once.  Each triangle lists its
+# corners (INF, the cusp, is the ideal one); each pairing maps a source edge
+# onto a target edge by a word in S and T; each singular line lists the
+# corners it identifies, its kind and its holonomy word.
+_FACES = (("T1", ("A", "B", "INF")), ("T2", ("C", "B", "INF")))
+_PAIRINGS = (
+    ("1", ("T1", ("B", "INF")), ("T2", ("B", "INF"))),
+    ("S", ("T2", ("C", "B")), ("T1", ("A", "B"))),
+    ("T", ("T1", ("A", "INF")), ("T2", ("C", "INF"))),
+)
+_LINES = (
+    ("B", (("T1", "B"), ("T2", "B")), "massive", "S"),
+    ("A~C", (("T1", "A"), ("T2", "C")), "massive", "T^-1 S"),
+    ("INF", (("T1", "INF"), ("T2", "INF")), "extremal", "T"),
+)
+_GLUING_TOL = 1.0e-9
+
 
 @dataclass(frozen=True)
 class IdealTriangle:
@@ -135,17 +156,39 @@ class IdealTriangle:
 def fundamental_triangles():
     """The two halves of the modular fundamental domain on the hyperboloid."""
     rho = complex(-0.5, 0.5 * math.sqrt(3.0))
-    a = uhp_to_hyperboloid(rho)
-    b = uhp_to_hyperboloid(1j)
-    c = uhp_to_hyperboloid(rho + 1.0)
-    inf = ideal_boundary_ray()
-    t1 = IdealTriangle(
-        "T1", ("A", "B", "INF"), np.stack([a, b, inf]), (False, False, True)
+    points = {
+        "A": uhp_to_hyperboloid(rho),
+        "B": uhp_to_hyperboloid(1j),
+        "C": uhp_to_hyperboloid(rho + 1.0),
+        "INF": ideal_boundary_ray(),
+    }
+    return tuple(
+        IdealTriangle(
+            label, names, np.stack([points[n] for n in names]),
+            tuple(n == "INF" for n in names),
+        )
+        for label, names in _FACES
     )
-    t2 = IdealTriangle(
-        "T2", ("C", "B", "INF"), np.stack([c, b, inf]), (False, False, True)
-    )
-    return t1, t2
+
+
+def _corner(face, name):
+    """(triangle index, corner index) of the corner ``name`` of ``face``."""
+    f = [label for label, _ in _FACES].index(face)
+    return f, _FACES[f][1].index(name)
+
+
+def _angle_sum(angle, vertices, members):
+    """Total angle at the corners ``members`` of the triangles ``vertices``.
+
+    ``vertices[f]`` holds triangle f's corners in table order; at corner i
+    ``angle`` is taken between corners i + 1 and i + 2.
+    """
+    total = 0.0
+    for face, name in members:
+        f, i = _corner(face, name)
+        tri = vertices[f]
+        total += angle(tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
+    return total
 
 
 def hyperbolic_angle(v, w1, w2) -> float:
@@ -156,13 +199,14 @@ def hyperbolic_angle(v, w1, w2) -> float:
     inner product.
     """
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite([v, w1, w2])):
+        raise ValueError("vertex and targets must be finite")
     if abs(float(q_form(v)) + 1.0) > 1.0e-9:
         raise ValueError("vertex must lie on the hyperboloid q = -1")
 
     def project(w):
         w = np.asarray(w, dtype=float)
-        p = w + minkowski_inner(w, v) * v
-        return p
+        return w + minkowski_inner(w, v) * v
 
     p1, p2 = project(w1), project(w2)
     n1 = math.sqrt(float(minkowski_inner(p1, p1)))
@@ -205,17 +249,7 @@ class SuspensionComplex:
     edge_classes: tuple
 
 
-def _match_vertex(g: LorentzIsometry, src, dst, ideal):
-    image = g.apply_linear(src)
-    if ideal:
-        image = image / image[0]
-        target = dst / dst[0]
-    else:
-        target = dst
-    return float(np.max(np.abs(image - target)))
-
-
-def build_complex(tol=1.0e-9) -> SuspensionComplex:
+def build_complex() -> SuspensionComplex:
     """Assemble and verify the two-triangle suspension complex.
 
     Every face pairing is checked on its edge endpoints
@@ -223,65 +257,43 @@ def build_complex(tol=1.0e-9) -> SuspensionComplex:
     classes the elliptic rotation angle of the holonomy is checked against
     the incident angle sum.
     """
-    t1, t2 = fundamental_triangles()
+    triangles = fundamental_triangles()
     gen = psl2z_generators()
     s, t = gen["S"], gen["T"]
-    verts = {
-        "A": t1.vertices[0],
-        "B": t1.vertices[1],
-        "C": t2.vertices[0],
-        "INF": t1.vertices[2],
-    }
-    ideal = {"A": False, "B": False, "C": False, "INF": True}
+    words = {"1": LorentzIsometry.identity(), "S": s, "T": t, "T^-1 S": t.inverse() @ s}
+    vertices = [tri.vertices for tri in triangles]
 
-    pairings = (
-        FacePairing(
-            "1",
-            ("T1", ("B", "INF")),
-            ("T2", ("B", "INF")),
-            LorentzIsometry.identity(),
-        ),
-        FacePairing("S", ("T2", ("C", "B")), ("T1", ("A", "B")), s),
-        FacePairing("T", ("T1", ("A", "INF")), ("T2", ("C", "INF")), t),
-    )
-    for pairing in pairings:
-        _, src_edge = pairing.src
-        _, dst_edge = pairing.dst
-        for u, w in zip(src_edge, dst_edge):
-            res = _match_vertex(pairing.isometry, verts[u], verts[w], ideal[u])
-            if res > tol:
+    pairings = []
+    for word, src, dst in _PAIRINGS:
+        g = words[word]
+        for u, w in zip(src[1], dst[1]):
+            (f, i), (h, j) = _corner(src[0], u), _corner(dst[0], w)
+            image, target = g.apply_linear(vertices[f][i]), vertices[h][j]
+            if triangles[f].ideal[i]:
+                image, target = image / image[0], target / target[0]
+            res = float(np.max(np.abs(image - target)))
+            if res > _GLUING_TOL:
                 raise GluingMismatchError(
-                    f"pairing {pairing.word}: vertex {u} -> {w} residual {res:.3e}"
+                    f"pairing {word}: vertex {u} -> {w} residual {res:.3e}"
                 )
+        pairings.append(FacePairing(word, src, dst, g))
 
-    angle_b = hyperbolic_angle(verts["B"], verts["A"], verts["INF"]) + hyperbolic_angle(
-        verts["B"], verts["C"], verts["INF"]
-    )
-    angle_ac = hyperbolic_angle(verts["A"], verts["B"], verts["INF"]) + hyperbolic_angle(
-        verts["C"], verts["B"], verts["INF"]
-    )
-    hol_ac = t.inverse() @ s
-
-    edge_classes = (
-        EdgeClass("B", (("T1", "B"), ("T2", "B")), "massive", angle_b, s, "S"),
-        EdgeClass(
-            "A~C", (("T1", "A"), ("T2", "C")), "massive", angle_ac, hol_ac, "T^-1 S"
-        ),
-        EdgeClass("INF", (("T1", "INF"), ("T2", "INF")), "extremal", None, t, "T"),
-    )
-    for edge in edge_classes:
-        info = classify_isometry(edge.holonomy)
-        if edge.kind == "massive":
-            if info["kind"] != "elliptic" or abs(info["angle"] - edge.cone_angle) > tol:
+    edge_classes = []
+    for label, members, kind, word in _LINES:
+        info = classify_isometry(words[word])
+        angle = None
+        if kind == "massive":
+            angle = _angle_sum(hyperbolic_angle, vertices, members)
+            if info["kind"] != "elliptic" or abs(info["angle"] - angle) > _GLUING_TOL:
                 raise GluingMismatchError(
-                    f"edge {edge.label}: angle sum {edge.cone_angle!r} does not "
-                    f"match holonomy ({info})"
+                    f"edge {label}: angle sum {angle!r} does not match holonomy ({info})"
                 )
         elif info["kind"] != "parabolic":
             raise GluingMismatchError(
-                f"edge {edge.label}: expected parabolic holonomy, got {info['kind']}"
+                f"edge {label}: expected parabolic holonomy, got {info['kind']}"
             )
-    return SuspensionComplex((t1, t2), pairings, edge_classes)
+        edge_classes.append(EdgeClass(label, members, kind, angle, words[word], word))
+    return SuspensionComplex(triangles, tuple(pairings), tuple(edge_classes))
 
 
 # =========================================================================
@@ -294,15 +306,15 @@ class PolyhedralSurface:
     """The time = t0 slice of the suspension: two Euclidean triangles.
 
     Vertex coordinates live in the slice plane (scaled Klein coordinates);
-    ``cone_angles`` maps each identified vertex class to its total angle,
-    and ``euler`` holds (V, E, F, chi) of the identified complex.
+    ``cone_angles`` maps each singular line's label to its total angle,
+    ``edge_pairs`` lists the glued (triangle label, edge) pairs, and
+    ``euler`` holds (V, E, F, chi) of the identified complex.
     """
 
     t0: float
     labels: tuple
     corner_names: tuple
     coords: np.ndarray
-    vertex_classes: tuple
     cone_angles: dict
     edge_pairs: tuple
     edge_lengths: dict
@@ -316,62 +328,30 @@ def _euclidean_angle(p, q1, q2) -> float:
 
 
 def polyhedral_cauchy_surface(t0=1.0) -> PolyhedralSurface:
-    """Slice the suspension at time t0 > 0."""
+    """Slice the suspension at a finite time t0 > 0."""
     t0 = float(t0)
-    if t0 <= 0.0:
-        raise ValueError("slice time must be positive")
-    t1, t2 = fundamental_triangles()
+    if not t0 > 0.0 or not math.isfinite(t0):
+        raise ValueError("slice time must be positive and finite")
+    vertices = np.stack([tri.vertices for tri in fundamental_triangles()])
+    coords = t0 * (vertices[..., 1:] / vertices[..., :1])
+    edge_pairs = tuple((src, dst) for _, src, dst in _PAIRINGS)
 
-    def slice_point(v):
-        return t0 * np.array([v[1] / v[0], v[2] / v[0]])
+    def edge_len(face, edge):
+        (f, i), (_, j) = (_corner(face, name) for name in edge)
+        return float(np.linalg.norm(coords[f][i] - coords[f][j]))
 
-    corner_names = (("A", "B", "INF"), ("C", "B", "INF"))
-    coords = np.stack(
-        [
-            np.stack([slice_point(v) for v in t1.vertices]),
-            np.stack([slice_point(v) for v in t2.vertices]),
-        ]
-    )
-    vertex_classes = (("B",), ("A", "C"), ("INF",))
-    corner_lookup = {}
-    for f, names in enumerate(corner_names):
-        for i, name in enumerate(names):
-            corner_lookup[name] = corner_lookup.get(name, ()) + ((f, i),)
-    cone_angles = {}
-    for cls in vertex_classes:
-        total = 0.0
-        for name in cls:
-            for f, i in corner_lookup[name]:
-                tri = coords[f]
-                total += _euclidean_angle(tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3])
-        cone_angles["~".join(cls)] = total
-
-    edge_pairs = (
-        ((0, ("B", "INF")), (1, ("B", "INF"))),
-        ((1, ("C", "B")), (0, ("A", "B"))),
-        ((0, ("A", "INF")), (1, ("C", "INF"))),
-    )
-    name_to_idx = ({"A": 0, "B": 1, "INF": 2}, {"C": 0, "B": 1, "INF": 2})
-
-    def edge_len(face, pair):
-        i, j = (name_to_idx[face][n] for n in pair)
-        return float(np.linalg.norm(coords[face][i] - coords[face][j]))
-
-    edge_lengths = {
-        (face, pair): edge_len(face, pair)
-        for gluing in edge_pairs
-        for face, pair in gluing
-    }
-    v, e, f = len(vertex_classes), len(edge_pairs), len(corner_names)
+    v, e, f = len(_LINES), len(_PAIRINGS), len(_FACES)
     return PolyhedralSurface(
         t0=t0,
-        labels=("T1", "T2"),
-        corner_names=corner_names,
+        labels=tuple(label for label, _ in _FACES),
+        corner_names=tuple(names for _, names in _FACES),
         coords=coords,
-        vertex_classes=vertex_classes,
-        cone_angles=cone_angles,
+        cone_angles={
+            label: _angle_sum(_euclidean_angle, coords, members)
+            for label, members, _, _ in _LINES
+        },
         edge_pairs=edge_pairs,
-        edge_lengths=edge_lengths,
+        edge_lengths={side: edge_len(*side) for pair in edge_pairs for side in pair},
         euler=(v, e, f, v - e + f),
     )
 

@@ -351,6 +351,23 @@ class TestModularCommands:
         assert report["hits_once"] == 100
         assert report["status"] == "pass"
 
+    def test_output_digests(self, capsys, tmp_path):
+        # the reports and the triangle soup, pinned in full
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        csv = tmp_path / "soup.csv"
+        runs = {
+            ("modular", "build"): "89f1b167dac36c3d",
+            ("modular", "surface", "--t0", "1.7", "--csv", str(csv)): "7f700b491afdf10b",
+            ("modular", "rays", "--n", "1000"): "7cedebf82a8e0286",
+        }
+        for argv, expected in runs.items():
+            code, out = run_cli(capsys, list(argv))
+            assert code == 0
+            assert digest(out.encode()) == expected, argv
+        assert digest(csv.read_bytes()) == "40c7433c05bc3268"
+
 
 class TestConefield:
     def test_angular_width_diverges(self, capsys, tmp_path):

@@ -83,15 +83,30 @@ class TestTubeChartInvariants:
 
     def test_regular_means_not_singular(self):
         # 5e-10 below 2 pi is a singular angle by models.is_singular, so the
-        # chart takes the massive branch, where so small a rotation is no
-        # elliptic holonomy; 5e-13 below 2 pi is the regular tube
+        # chart takes the massive branch, whose rotation is too small to
+        # classify as anything but the identity; 5e-13 below 2 pi is the
+        # regular tube
         near = TWO_PI - 5e-10
         assert is_singular(near)
-        with pytest.raises(ValueError, match="elliptic"):
-            TubeChart(near, 1.0, -1.0, 1.0, True, massive_holonomy_generator(near))
-        with pytest.raises(ValueError, match="elliptic"):
-            TubeChart(near, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
+        TubeChart(near, 1.0, -1.0, 1.0, True, massive_holonomy_generator(near))
+        TubeChart(near, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
         TubeChart(TWO_PI - 5e-13, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
+
+    @pytest.mark.parametrize("angle", [1e-6, 3e-5, TWO_PI - 1e-5])
+    def test_massive_angle_near_zero_or_full_turn(self, angle):
+        # the deck rotation classifies as the identity, and the chart takes
+        # the class of its own generator
+        assert massive_chart(angle).angle == angle
+        with pytest.raises(ValueError, match="identity holonomy"):
+            TubeChart(angle, 1.0, -1.0, 1.0, True, rotation_about_t_axis(0.7))
+
+    @pytest.mark.parametrize("extent", [
+        {"radius": math.inf}, {"t_min": -math.inf}, {"t_max": math.inf},
+        {"t_min": math.nan},
+    ])
+    def test_non_finite_extent(self, extent):
+        with pytest.raises(ValueError, match="non-finite"):
+            extremal_chart(**extent)
 
     def test_massive_reflex_angle_folds(self):
         # the elliptic class only sees the rotation angle mod sign, so the

@@ -39,6 +39,15 @@ def isometries(draw):
     return g
 
 
+# a residual check written ``residual > tol`` is false for NaN, so these
+# need a finiteness check of their own
+NON_FINITE = [
+    np.full((3, 3), math.nan),
+    np.diag([math.inf, 1.0, 1.0]),
+    np.diag([1.0, 1.0, math.nan]),
+]
+
+
 class TestQuadraticForm:
     def test_signature(self):
         assert q_form([1.0, 0.0, 0.0]) == -1.0
@@ -100,6 +109,11 @@ class TestLorentzIsometry:
         # PT has det +1 but flips the time orientation
         with pytest.raises(InvalidIsometryError):
             LorentzIsometry(np.diag([-1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("linear", NON_FINITE)
+    def test_rejects_non_finite_entries(self, linear):
+        with pytest.raises(InvalidIsometryError, match="non-finite"):
+            LorentzIsometry(linear)
 
     def test_inverse_closed_form(self):
         g = boost_tx(0.6) @ rotation_about_t_axis(1.1)
@@ -164,6 +178,12 @@ class TestClassification:
         info = classify_isometry(conj)
         assert info["kind"] == "elliptic"
         assert abs(info["angle"] - phi) < 1e-9
+
+
+    @pytest.mark.parametrize("linear", NON_FINITE)
+    def test_raw_non_finite_matrix_raises(self, linear):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify_isometry(linear)
 
 
 class TestFixedNullDirection:

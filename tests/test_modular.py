@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from btzgeo.errors import GluingMismatchError
 from btzgeo.lorentz import classify_isometry, q_form
 from btzgeo.models import TWO_PI
 from btzgeo.modular import (
@@ -42,6 +41,13 @@ class TestAdjointRepresentation:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             sl2_adjoint(2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("a", [
+        [[math.nan, 0.0], [0.0, math.nan]], [[1.0, math.inf], [0.0, 1.0]],
+    ])
+    def test_rejects_non_finite(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            sl2_adjoint(a)
 
     def test_defining_relations(self):
         checks = representation_checks()
@@ -85,6 +91,16 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             uhp_to_hyperboloid(1.0 - 0.5j)
 
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 1.0),
+        complex(0.0, math.inf),
+    ])
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            uhp_to_hyperboloid(z)
+        with pytest.raises(ValueError, match="finite"):
+            uhp_to_hyperboloid([1j, z])
+
     @pytest.mark.parametrize("word", ["S", "T", "ST", "TS", "TTS", "STS"])
     def test_equivariance(self, word):
         mats = {"S": S_MATRIX, "T": T_MATRIX}
@@ -103,6 +119,11 @@ class TestEmbedding:
             ray = ideal_boundary_ray(x)
             assert abs(float(q_form(ray))) < 1e-12
             assert ray[0] > 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_boundary_ray_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            ideal_boundary_ray(x)
 
     def test_inversion_swaps_boundary_points(self):
         s = sl2_adjoint(S_MATRIX)
@@ -131,6 +152,18 @@ class TestAngles:
     def test_vertex_must_be_on_hyperboloid(self):
         with pytest.raises(ValueError):
             hyperbolic_angle([1.0, 0.5, 0.0], [1.0, 0.0, 0.0], [2.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("v", [
+        [math.nan, 0.0, 0.0], [1.0, math.nan, 0.0], [math.inf, math.inf, 0.0],
+    ])
+    def test_rejects_non_finite_vertex(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            hyperbolic_angle(v, [2.0, 1.0, 0.0], [1.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize("w", [[math.nan, 1.0, 0.0], [math.inf, 1.0, 0.0]])
+    def test_rejects_non_finite_target(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            hyperbolic_angle([1.0, 0.0, 0.0], w, [1.0, 0.0, -1.0])
 
 
 class TestComplex:
@@ -164,9 +197,13 @@ class TestComplex:
         cube = hol.linear @ hol.linear @ hol.linear
         assert np.max(np.abs(cube - np.eye(3))) < 1e-12
 
-    def test_impossible_tolerance_raises(self):
-        with pytest.raises(GluingMismatchError):
-            build_complex(tol=-1.0)
+    def test_slice_reads_the_same_gluing(self):
+        cx = build_complex()
+        surf = polyhedral_cauchy_surface(1.7)
+        assert surf.edge_pairs == tuple((p.src, p.dst) for p in cx.pairings)
+        assert list(surf.cone_angles) == [e.label for e in cx.edge_classes]
+        assert surf.labels == tuple(t.label for t in cx.triangles)
+        assert surf.corner_names == tuple(t.names for t in cx.triangles)
 
 
 class TestPolyhedralSlice:
@@ -213,6 +250,11 @@ class TestPolyhedralSlice:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             polyhedral_cauchy_surface(0.0)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, t0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            polyhedral_cauchy_surface(t0)
 
 
 class TestRayCounts:

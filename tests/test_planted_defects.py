@@ -4,8 +4,10 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from btzgeo import cli, extensions, modular, verify
+from btzgeo.errors import GluingMismatchError
 
 
 def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):
@@ -41,3 +43,30 @@ def test_non_monotone_chain_region_fails_chain_monotone(monkeypatch, capsys):
     assert cli.main(["extend", "example-chain"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
     assert extensions.sample_chain_monotone(10_000, seed=111) > 0
+
+
+def _swapped_words(pairings):
+    swap = {"S": "T", "T": "S"}
+    return tuple((swap.get(word, word), src, dst) for word, src, dst in pairings)
+
+
+def _wrong_corner(lines):
+    # A~C takes T2's corner B in place of its corner C
+    return tuple(
+        (label, (("T1", "A"), ("T2", "B")) if label == "A~C" else members, kind, word)
+        for label, members, kind, word in lines
+    )
+
+
+@pytest.mark.parametrize("table, defect", [
+    ("_PAIRINGS", _swapped_words), ("_LINES", _wrong_corner),
+])
+def test_wrong_gluing_fails_the_modular_checks(monkeypatch, capsys, table, defect):
+    # criterion 10 and the modular suite both start from build_complex
+    monkeypatch.setattr(modular, table, defect(getattr(modular, table)))
+    with pytest.raises(GluingMismatchError):
+        modular.build_complex()
+    for argv in (["verify", "--suite", "modular", "--no-timing"], ["modular", "build"]):
+        assert cli.main(argv) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "GluingMismatchError"
