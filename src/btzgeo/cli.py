@@ -135,7 +135,7 @@ def _file_type(load):
             return load(path)
         except (
             argparse.ArgumentTypeError, OSError, ArithmeticError,
-            AttributeError, LookupError, TypeError, ValueError,
+            AttributeError, LookupError, TypeError, ValueError, GeometryError,
         ) as err:
             raise argparse.ArgumentTypeError(f"cannot load {path}: {err}") from None
 
@@ -490,7 +490,7 @@ def _cmd_modular_surface(args):
 def _cmd_modular_rays(args):
     slice_ = polyhedral_cauchy_surface(args.t0)
     rays = sample_interior_rays(slice_, args.n, seed=args.seed)
-    counts = np.array([ray_intersection_count(slice_, d) for d in rays])
+    counts = ray_intersection_count(slice_, rays)
     hits_once = int(np.count_nonzero(counts == 1))
     report = {
         "t0": args.t0,

@@ -116,7 +116,8 @@ class LorentzIsometry:
     """An orientation- and time-orientation-preserving linear isometry of
     E^{1,2}, an element of SO0(1,2).
 
-    ``linear`` must have finite entries, satisfy ``L^T eta L = eta`` to
+    ``linear`` must have finite entries small enough (below about 1e154)
+    for the checks not to overflow, satisfy ``L^T eta L = eta`` to
     1e-12 (relative to the squared matrix magnitude once entries exceed 1,
     since evaluating the residual itself costs eps * |L|^2 in floats), and
     have ``det L = +1`` and ``L[0,0] >= 1 - 1e-12`` (time orientation);
@@ -128,17 +129,21 @@ class LorentzIsometry:
     def __post_init__(self):
         lin = _as_float_matrix(self.linear)
         eta = MINKOWSKI_METRIC
-        # the residual checks below pass NaN, so non-finite entries go first
+        # NaN and an infinite scale pass the comparisons below, so non-finite
+        # entries, or entries past ~1e154 that overflow the checks, go first
         peak = float(np.max(np.abs(lin)))
-        if not math.isfinite(peak):
-            raise InvalidIsometryError(f"non-finite entry in L = {lin.tolist()!r}")
-        scale = max(1.0, peak**2)
-        residual = np.max(np.abs(lin.T @ eta @ lin - eta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = max(1.0, peak * peak)
+            residual = float(np.max(np.abs(lin.T @ eta @ lin - eta)))
+            det = float(np.linalg.det(lin))
+        if not all(map(math.isfinite, (scale, residual, det))):
+            raise InvalidIsometryError(
+                f"non-finite entry or overflowing check in L = {lin.tolist()!r}"
+            )
         if residual > _ORTHO_TOL * scale:
             raise InvalidIsometryError(
                 f"not eta-orthogonal: |L^T eta L - eta| = {residual:.3e}"
             )
-        det = float(np.linalg.det(lin))
         if abs(det - 1.0) > _DET_TOL * scale:
             raise InvalidIsometryError(f"det(L) = {det!r}, expected +1")
         if lin[0, 0] < 1.0 - _ORTHO_TOL:

@@ -196,7 +196,8 @@ def hyperbolic_angle(v, w1, w2) -> float:
 
     The targets may be finite points or null rays; their projections onto
     the tangent plane at v are compared with the induced (positive definite)
-    inner product.
+    inner product.  A target on the vertex's ray has no direction and raises
+    ``ValueError``.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite([v, w1, w2])):
@@ -209,9 +210,10 @@ def hyperbolic_angle(v, w1, w2) -> float:
         return w + minkowski_inner(w, v) * v
 
     p1, p2 = project(w1), project(w2)
-    n1 = math.sqrt(float(minkowski_inner(p1, p1)))
-    n2 = math.sqrt(float(minkowski_inner(p2, p2)))
-    cosang = float(minkowski_inner(p1, p2)) / (n1 * n2)
+    sq1, sq2 = float(minkowski_inner(p1, p1)), float(minkowski_inner(p2, p2))
+    if not (sq1 > 0.0 and sq2 > 0.0):
+        raise ValueError("targets must not lie on the vertex's ray")
+    cosang = float(minkowski_inner(p1, p2)) / (math.sqrt(sq1) * math.sqrt(sq2))
     return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
@@ -356,45 +358,36 @@ def polyhedral_cauchy_surface(t0=1.0) -> PolyhedralSurface:
     )
 
 
-def _barycentric(p, tri):
-    """Barycentric coordinates of the point ``p`` in ``tri``.
+def ray_intersection_count(surface: PolyhedralSurface, directions) -> int | np.ndarray:
+    """Number of distinct intersection points of future rays with the slice.
 
-    Python floats round as numpy's do; on two-vectors they skip numpy's
-    per-call overhead, which is most of a ray count's cost.
+    ``directions`` is one future-pointing vector (d_t > 0), giving an int,
+    or a (..., 3) stack of them, giving an int array shaped (...).  The ray
+    {s * d : s > 0} meets the slice plane time = t0 once, at a point p.  The
+    count is the number of triangles holding p in their interior
+    (barycentric coordinates all > 1e-12), so overlapping triangles count
+    twice; else 1 when p lies on the closure of a triangle (to barycentric
+    coordinates of -1e-12, so shared edges and vertices count once), and 0
+    otherwise.  Any non-finite or past-pointing row raises ``ValueError``.
     """
-    (ax, ay), (bx, by), (cx, cy) = tri
-    v0x, v0y, v1x, v1y = bx - ax, by - ay, cx - ax, cy - ay
-    v2x, v2y = p[0] - ax, p[1] - ay
-    den = v0x * v1y - v0y * v1x
-    b1 = (v2x * v1y - v2y * v1x) / den
-    b2 = (v0x * v2y - v0y * v2x) / den
-    return 1.0 - b1 - b2, b1, b2
-
-
-def ray_intersection_count(surface: PolyhedralSurface, direction) -> int:
-    """Number of distinct intersection points of a future ray with the slice.
-
-    ``direction`` is a future-pointing vector (d_t > 0); the ray is
-    {s * direction : s > 0}.  Both slice triangles lie in the plane
-    time = t0, so the ray meets the plane once, at a point p.  The count is
-    the number of triangles holding p in their interior (barycentric
-    coordinates all > 1e-12), so overlapping triangles count twice; else 1
-    when p lies on the closure of a triangle (to barycentric coordinates of
-    -1e-12, so shared edges and vertices count once), and 0 otherwise.
-    A non-finite direction raises ``ValueError``.
-    """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
+    d = np.asarray(directions, dtype=float)
+    if d.shape[-1:] != (3,):
         raise ValueError("direction must be a 3-vector")
     if not np.all(np.isfinite(d)):
         raise ValueError("direction must be finite")
-    if d[0] <= 0.0:
+    if np.any(d[..., 0] <= 0.0):
         raise ValueError("direction must be future pointing (positive time)")
-    scale = surface.t0 / d[0]
-    p = (scale * d[1:]).tolist()
-    bary = [_barycentric(p, tri) for tri in surface.coords.tolist()]
-    interior = sum(all(c > _RAY_TOL for c in b) for b in bary)
-    return interior or int(any(all(c >= -_RAY_TOL for c in b) for b in bary))
+    p = (surface.t0 / d[..., :1]) * d[..., 1:]
+    a, b, c = surface.coords.swapaxes(0, 1)
+    v0, v1, v2 = b - a, c - a, p[..., None, :] - a
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    b1 = (v2[..., 0] * v1[:, 1] - v2[..., 1] * v1[:, 0]) / den
+    b2 = (v0[:, 0] * v2[..., 1] - v0[:, 1] * v2[..., 0]) / den
+    bary = np.stack([1.0 - b1 - b2, b1, b2], axis=-1)
+    interior = np.count_nonzero(np.all(bary > _RAY_TOL, axis=-1), axis=-1)
+    closure = np.any(np.all(bary >= -_RAY_TOL, axis=-1), axis=-1)
+    counts = np.where(interior > 0, interior, closure)
+    return int(counts) if d.ndim == 1 else counts
 
 
 def sample_interior_rays(surface: PolyhedralSurface, n, seed=0) -> np.ndarray:

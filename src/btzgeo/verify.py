@@ -412,10 +412,10 @@ def suite_modular(seed):
     rec.quantitative("glued_edge_lengths", len_mismatch, 1.0e-9)
 
     rays = modular.sample_interior_rays(slice_, 200, seed=seed)
-    counts = [modular.ray_intersection_count(slice_, d) for d in rays]
+    counts = modular.ray_intersection_count(slice_, rays)
     rec.quantitative(
         "rays_hit_once",
-        float(sum(c != 1 for c in counts)),
+        float(np.count_nonzero(counts != 1)),
         0.0,
         detail="200 rays",
     )

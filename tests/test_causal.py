@@ -199,6 +199,14 @@ class TestConnectingCurve:
         assert np.max(np.abs(curve[-1] - q)) < 1e-12
         assert np.all(np.diff(curve[:, 1]) >= -1e-15)
 
+    def test_line_to_line(self):
+        p, q = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+        curve = btz_connecting_curve(p, q)
+        assert curve.shape == (65, 3)
+        assert np.all(curve[:, 1] == 0.0)
+        assert tuple(curve[0]) == p and tuple(curve[-1]) == q
+        assert validate_causal(0.0, curve).kind == "valid-causal"
+
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError):
             btz_connecting_curve((0.0, 1.0, 0.0), (-1.0, 1.5, 0.0))

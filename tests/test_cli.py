@@ -361,6 +361,8 @@ class TestModularCommands:
             ("modular", "build"): "89f1b167dac36c3d",
             ("modular", "surface", "--t0", "1.7", "--csv", str(csv)): "7f700b491afdf10b",
             ("modular", "rays", "--n", "1000"): "7cedebf82a8e0286",
+            ("modular", "rays", "--n", "20000", "--seed", "3", "--t0", "2.5"):
+                "a15ceda1cab46e90",
         }
         for argv, expected in runs.items():
             code, out = run_cli(capsys, list(argv))
@@ -487,6 +489,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+    def test_non_numeric_float_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["surface", "cap", "--R", "abc"])
+        assert exc.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("holonomy", [
+        [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not eta-orthogonal
+        [[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # checks overflow
+    ])
+    def test_chart_holonomy_not_an_isometry(self, tmp_path, capsys, holonomy):
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps({
+            "angle": 0.0, "radius": 1.0, "t_min": -1.0, "t_max": 1.0,
+            "has_singular_line": False, "holonomy": holonomy,
+        }))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["extend", "adjoin", "--chart", str(chart)])
+        assert exc.value.code == 2
+        assert "cannot load" in capsys.readouterr().err
 
     def test_missing_curve_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

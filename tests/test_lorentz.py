@@ -115,6 +115,20 @@ class TestLorentzIsometry:
         with pytest.raises(InvalidIsometryError, match="non-finite"):
             LorentzIsometry(linear)
 
+    @pytest.mark.parametrize("make", [
+        lambda: LorentzIsometry(np.diag([1e200, 1.0, 1.0])),
+        lambda: boost_tx(356.0),
+    ])
+    def test_rejects_entries_too_large_to_check(self, make):
+        # the squared scale and the residual overflow: a domain error, and
+        # no RuntimeWarning (pytest turns those into errors here)
+        with pytest.raises(InvalidIsometryError, match="non-finite"):
+            make()
+
+    def test_accepts_a_large_boost(self):
+        g = boost_tx(350.0)
+        assert g.linear[0, 0] == math.cosh(350.0)
+
     def test_inverse_closed_form(self):
         g = boost_tx(0.6) @ rotation_about_t_axis(1.1)
         eta = MINKOWSKI_METRIC

@@ -165,6 +165,14 @@ class TestAngles:
         with pytest.raises(ValueError, match="finite"):
             hyperbolic_angle([1.0, 0.0, 0.0], w, [1.0, 0.0, -1.0])
 
+    @pytest.mark.parametrize("w", [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    def test_rejects_target_on_the_vertex_ray(self, w):
+        # the target projects to zero in the tangent plane: no direction
+        with pytest.raises(ValueError, match="vertex's ray"):
+            hyperbolic_angle([1.0, 0.0, 0.0], w, [2.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="vertex's ray"):
+            hyperbolic_angle([1.0, 0.0, 0.0], [2.0, 1.0, 0.0], w)
+
 
 class TestComplex:
     def test_builds_clean(self):
@@ -295,3 +303,67 @@ class TestRayCounts:
         d = (1.0, -0.2, -0.3)
         for t0 in (0.5, 1.0, 3.0):
             assert ray_intersection_count(polyhedral_cauchy_surface(t0), d) == 1
+
+    @pytest.mark.parametrize("d", [(1.0, 0.0), [(1.0, 0.0)] * 4, 1.0])
+    def test_rejects_directions_that_are_not_3_vectors(self, d):
+        with pytest.raises(ValueError, match="3-vector"):
+            ray_intersection_count(polyhedral_cauchy_surface(1.0), d)
+
+    @pytest.mark.parametrize("row, message", [
+        ((1.0, math.nan, 0.0), "finite"),
+        ((-1.0, 0.0, -0.5), "future pointing"),
+        ((0.0, 0.0, -0.5), "future pointing"),
+    ])
+    def test_one_bad_row_rejects_the_stack(self, row, message):
+        dirs = np.tile([1.0, -0.2, -0.3], (5, 1))
+        dirs[3] = row
+        with pytest.raises(ValueError, match=message):
+            ray_intersection_count(polyhedral_cauchy_surface(1.0), dirs)
+
+    @pytest.mark.parametrize("t0", [0.3, 1.0, 1.7, 5.0])
+    def test_stack_matches_one_direction_at_a_time(self, t0):
+        surf = polyhedral_cauchy_surface(t0)
+        corners = surf.coords.reshape(-1, 2)
+        midpoints = (surf.coords + np.roll(surf.coords, 1, axis=1)).reshape(-1, 2) / 2.0
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        span = hi - lo
+        gx, gy = np.meshgrid(
+            np.linspace(lo[0] - 0.2 * span[0], hi[0] + 0.2 * span[0], 41),
+            np.linspace(lo[1] - 0.2 * span[1], hi[1] + 0.2 * span[1], 41),
+        )
+        points = np.concatenate([corners, midpoints, np.stack([gx, gy], -1).reshape(-1, 2)])
+        planted = np.column_stack([np.full(len(points), t0), points])
+        interior = sample_interior_rays(surf, 500, seed=11)
+        dirs = np.concatenate([interior, planted, 2.5 * planted])
+        counts = ray_intersection_count(surf, dirs)
+        assert counts.shape == (len(dirs),)
+        one_by_one = [ray_intersection_count(surf, d) for d in dirs]
+        assert all(type(c) is int for c in one_by_one)
+        assert counts.tolist() == one_by_one
+        assert counts.tolist() == [_reference_count(surf, d) for d in dirs]
+        # every count is seen: misses, single hits and shared edges/corners
+        assert {0, 1} <= set(one_by_one)
+
+    def test_stack_shape_is_kept(self):
+        surf = polyhedral_cauchy_surface(1.0)
+        dirs = sample_interior_rays(surf, 12, seed=2).reshape(3, 4, 3)
+        counts = ray_intersection_count(surf, dirs)
+        assert counts.shape == (3, 4)
+        assert np.all(counts == 1)
+        assert ray_intersection_count(surf, np.empty((0, 3))).shape == (0,)
+
+
+def _reference_count(surface, direction):
+    """The per-ray count in Python floats: the oracle for the array predicate."""
+    t, x, y = map(float, direction)
+    px, py = surface.t0 / t * x, surface.t0 / t * y
+    bary = []
+    for (ax, ay), (bx, by), (cx, cy) in surface.coords.tolist():
+        v0x, v0y, v1x, v1y = bx - ax, by - ay, cx - ax, cy - ay
+        v2x, v2y = px - ax, py - ay
+        den = v0x * v1y - v0y * v1x
+        b1 = (v2x * v1y - v2y * v1x) / den
+        b2 = (v0x * v2y - v0y * v2x) / den
+        bary.append((1.0 - b1 - b2, b1, b2))
+    interior = sum(all(c > 1e-12 for c in b) for b in bary)
+    return interior or int(any(all(c >= -1e-12 for c in b) for b in bary))
