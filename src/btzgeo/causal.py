@@ -599,9 +599,9 @@ _LINE_FRACTION = 0.3  # share of sampled curves that start on the line
 def sample_causal_curves(region: TubeRegion, n_curves, seed=0):
     """Random validated causal curves inside an extremal tube region.
 
-    Returns a list of (9, 3) sample arrays (8 steps).  The last 30% of the
-    curves (rounded) start on the singular line (two line steps and a
-    null-bounded exit), the rest start at regular points; every generated
+    Returns an (n_curves, 9, 3) array of samples (8 steps).  The last 30%
+    of the curves (rounded) start on the singular line (two line steps and
+    a null-bounded exit), the rest start at regular points; every generated
     segment satisfies the secant test by construction, and radii never
     decrease.
     """
@@ -613,7 +613,6 @@ def sample_causal_curves(region: TubeRegion, n_curves, seed=0):
     radius = region.radius
     n_line = int(round(_LINE_FRACTION * n_curves))
     n_reg = n_curves - n_line
-    curves = []
 
     def grow_regular(tau, r, th, steps):
         rows = [np.stack([tau, r, th], axis=1)]
@@ -636,39 +635,35 @@ def sample_causal_curves(region: TubeRegion, n_curves, seed=0):
             rows.append(np.stack([tau, r, th], axis=1))
         return np.stack(rows, axis=1)
 
-    if n_reg > 0:
-        tau0 = region.t_min + rng.uniform(0.02, 0.2, n_reg) * span
-        r0 = rng.uniform(0.05, 0.5, n_reg) * radius
-        th0 = rng.uniform(0.0, TWO_PI, n_reg)
-        batch = grow_regular(tau0, r0, th0, n_steps)
-        curves.extend(batch[i] for i in range(n_reg))
+    tau0 = region.t_min + rng.uniform(0.02, 0.2, n_reg) * span
+    r0 = rng.uniform(0.05, 0.5, n_reg) * radius
+    th0 = rng.uniform(0.0, TWO_PI, n_reg)
+    regular = grow_regular(tau0, r0, th0, n_steps)
 
-    if n_line > 0:
-        tau0 = region.t_min + rng.uniform(0.02, 0.1, n_line) * span
-        th0 = np.zeros(n_line)
-        line1 = tau0 + rng.uniform(0.01, 0.04, n_line) * span
-        line2 = line1 + rng.uniform(0.01, 0.04, n_line) * span
-        dtau_exit = rng.uniform(0.02, 0.06, n_line) * span
-        r_exit = rng.uniform(0.2, 1.0, n_line) * np.minimum(
-            1.9 * dtau_exit, 0.3 * radius
-        )
-        th_exit = rng.uniform(0.0, TWO_PI, n_line)
-        head = np.stack(
-            [
-                np.stack([tau0, np.zeros(n_line), th0], axis=1),
-                np.stack([line1, np.zeros(n_line), th0], axis=1),
-                np.stack([line2, np.zeros(n_line), th0], axis=1),
-                np.stack([line2 + dtau_exit, r_exit, th_exit], axis=1),
-            ],
-            axis=1,
-        )
-        tail = grow_regular(
-            head[:, -1, 0].copy(), head[:, -1, 1].copy(), head[:, -1, 2].copy(),
-            n_steps - 3,
-        )
-        batch = np.concatenate([head, tail[:, 1:]], axis=1)
-        curves.extend(batch[i] for i in range(n_line))
-    return curves
+    tau0 = region.t_min + rng.uniform(0.02, 0.1, n_line) * span
+    th0 = np.zeros(n_line)
+    line1 = tau0 + rng.uniform(0.01, 0.04, n_line) * span
+    line2 = line1 + rng.uniform(0.01, 0.04, n_line) * span
+    dtau_exit = rng.uniform(0.02, 0.06, n_line) * span
+    r_exit = rng.uniform(0.2, 1.0, n_line) * np.minimum(
+        1.9 * dtau_exit, 0.3 * radius
+    )
+    th_exit = rng.uniform(0.0, TWO_PI, n_line)
+    head = np.stack(
+        [
+            np.stack([tau0, np.zeros(n_line), th0], axis=1),
+            np.stack([line1, np.zeros(n_line), th0], axis=1),
+            np.stack([line2, np.zeros(n_line), th0], axis=1),
+            np.stack([line2 + dtau_exit, r_exit, th_exit], axis=1),
+        ],
+        axis=1,
+    )
+    tail = grow_regular(
+        head[:, -1, 0].copy(), head[:, -1, 1].copy(), head[:, -1, 2].copy(),
+        n_steps - 3,
+    )
+    line = np.concatenate([head, tail[:, 1:]], axis=1)
+    return np.concatenate([regular, line])
 
 
 # =========================================================================

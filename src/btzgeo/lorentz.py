@@ -104,52 +104,41 @@ def hyperboloid_embed(x, y):
 # =========================================================================
 
 
-def _as_float_matrix(m):
-    out = np.array(m, dtype=float)
-    if out.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {out.shape}")
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LorentzIsometry:
     """An orientation- and time-orientation-preserving linear isometry of
-    E^{1,2}, an element of SO0(1,2).
+    E^{1,2}, an element of SO0(1,2), or a stack of them.
 
-    ``linear`` must have finite entries small enough (below about 1e154)
-    for the checks not to overflow, satisfy ``L^T eta L = eta`` to
-    1e-12 (relative to the squared matrix magnitude once entries exceed 1,
-    since evaluating the residual itself costs eps * |L|^2 in floats), and
-    have ``det L = +1`` and ``L[0,0] >= 1 - 1e-12`` (time orientation);
-    otherwise the constructor raises :class:`InvalidIsometryError`.
+    ``linear`` is a 3x3 matrix or a (..., 3, 3) stack.  Each matrix must have
+    finite entries small enough (below about 1e154) for the checks not to
+    overflow, satisfy ``L^T eta L = eta`` to 1e-12 (relative to the squared
+    matrix magnitude once entries exceed 1, since evaluating the residual
+    itself costs eps * |L|^2 in floats), and have ``det L = +1`` and
+    ``L[0,0] >= 1 - 1e-12`` (time orientation).  One failing matrix rejects
+    the stack: the constructor raises :class:`InvalidIsometryError` naming
+    the first failing check of the first failing matrix.
     """
 
     linear: np.ndarray
 
     def __post_init__(self):
-        lin = _as_float_matrix(self.linear)
+        lin = np.array(self.linear, dtype=float)
+        if lin.shape[-2:] != (3, 3):
+            raise ValueError(f"expected a 3x3 matrix or a stack, got shape {lin.shape}")
         eta = MINKOWSKI_METRIC
-        # NaN and an infinite scale pass the comparisons below, so non-finite
-        # entries, or entries past ~1e154 that overflow the checks, go first
-        peak = float(np.max(np.abs(lin)))
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = max(1.0, peak * peak)
-            residual = float(np.max(np.abs(lin.T @ eta @ lin - eta)))
-            det = float(np.linalg.det(lin))
-        if not all(map(math.isfinite, (scale, residual, det))):
-            raise InvalidIsometryError(
-                f"non-finite entry or overflowing check in L = {lin.tolist()!r}"
+            scale = np.maximum(1.0, np.square(lin).max(axis=(-2, -1)))
+            residual = np.abs(np.swapaxes(lin, -1, -2) @ eta @ lin - eta).max(
+                axis=(-2, -1)
             )
-        if residual > _ORTHO_TOL * scale:
-            raise InvalidIsometryError(
-                f"not eta-orthogonal: |L^T eta L - eta| = {residual:.3e}"
-            )
-        if abs(det - 1.0) > _DET_TOL * scale:
-            raise InvalidIsometryError(f"det(L) = {det!r}, expected +1")
-        if lin[0, 0] < 1.0 - _ORTHO_TOL:
-            raise InvalidIsometryError(
-                f"time orientation reversed: L[0,0] = {lin[0, 0]!r}"
-            )
+            det = np.linalg.det(lin)
+            # NaN fails every comparison; an infinite scale needs its own test
+            ok = np.isfinite(scale) & (residual <= _ORTHO_TOL * scale)
+            ok &= abs(det - 1.0) <= _DET_TOL * scale
+            ok &= lin[..., 0, 0] >= 1.0 - _ORTHO_TOL
+        if not ok.all():
+            i = np.unravel_index(np.argmin(ok), np.shape(ok))
+            raise InvalidIsometryError(_fault(lin[i], scale[i], residual[i], det[i]))
         lin.setflags(write=False)
         object.__setattr__(self, "linear", lin)
 
@@ -158,10 +147,10 @@ class LorentzIsometry:
     def apply_linear(self, v):
         """Apply to one vector or a stack shaped (..., 3)."""
         v = np.asarray(v, dtype=float)
-        return v @ self.linear.T
+        return v @ np.swapaxes(self.linear, -1, -2)
 
     def __matmul__(self, other):
-        """self after other: (self @ other)(v) = self(other(v))."""
+        """self after other: (self @ other)(v) = self(other(v)), matrix by matrix."""
         if isinstance(other, LorentzIsometry):
             return LorentzIsometry(self.linear @ other.linear)
         return NotImplemented
@@ -169,7 +158,7 @@ class LorentzIsometry:
     def inverse(self) -> "LorentzIsometry":
         # eta-orthogonality gives L^-1 = eta L^T eta exactly.
         eta = MINKOWSKI_METRIC
-        return LorentzIsometry(eta @ self.linear.T @ eta)
+        return LorentzIsometry(eta @ np.swapaxes(self.linear, -1, -2) @ eta)
 
     # -- convenience -------------------------------------------------------
 
@@ -178,24 +167,42 @@ class LorentzIsometry:
         return LorentzIsometry(np.eye(3))
 
 
+def _fault(lin, scale, residual, det):
+    """Message for the first check that the 3x3 matrix ``lin`` fails."""
+    if not all(map(math.isfinite, (scale, residual, det))):
+        return f"non-finite entry or overflowing check in L = {lin.tolist()!r}"
+    if residual > _ORTHO_TOL * scale:
+        return f"not eta-orthogonal: |L^T eta L - eta| = {residual:.3e}"
+    if abs(det - 1.0) > _DET_TOL * scale:
+        return f"det(L) = {float(det)!r}, expected +1"
+    return f"time orientation reversed: L[0,0] = {lin[0, 0]!r}"
+
+
 def rotation_about_t_axis(angle) -> LorentzIsometry:
-    """Elliptic element: Euclidean rotation of the (x, y) plane."""
-    c, s = math.cos(angle), math.sin(angle)
-    return LorentzIsometry(
-        np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    )
+    """Elliptic element: Euclidean rotation of the (x, y) plane.
+
+    An array of angles gives the stack of their rotations.
+    """
+    x = np.asarray(angle, dtype=float)
+    cs = ((math.cos(v), math.sin(v)) for v in x.ravel().tolist())
+    lin = np.array([[[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]] for c, s in cs])
+    return LorentzIsometry(lin.reshape(x.shape + (3, 3)))
 
 
 def boost_tx(rapidity) -> LorentzIsometry:
-    """Hyperbolic element: boost in the (t, x) plane, fixing the y axis."""
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    return LorentzIsometry(
-        np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    )
+    """Hyperbolic element: boost in the (t, x) plane, fixing the y axis.
+
+    An array of rapidities gives the stack of their boosts.
+    """
+    x = np.asarray(rapidity, dtype=float)
+    # math, entry by entry: numpy's cosh and sinh may differ in the last place
+    cs = ((math.cosh(v), math.sinh(v)) for v in x.ravel().tolist())
+    lin = np.array([[[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]] for c, s in cs])
+    return LorentzIsometry(lin.reshape(x.shape + (3, 3)))
 
 
 def classify_isometry(g):
-    """Conjugacy class of ``g``, a :class:`LorentzIsometry` or a 3x3 matrix.
+    """Conjugacy class of ``g``, one :class:`LorentzIsometry` (not a stack).
 
     Returns a dict with keys ``kind`` (``"identity"``, ``"elliptic"``,
     ``"parabolic"`` or ``"hyperbolic"``), ``trace`` and, when applicable,
@@ -206,12 +213,15 @@ def classify_isometry(g):
     elliptic with angle = arccos((trace - 1)/2); |trace - 3| <= tol is the
     identity when the matrix is within sqrt(tol) of I and parabolic
     otherwise; trace > 3 + tol is hyperbolic with
-    lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.  A matrix with a
-    non-finite entry raises ``ValueError``.
+    lambda = ((trace-1) + sqrt((trace-1)^2 - 4)) / 2.  A raw matrix raises
+    ``TypeError`` (wrap it in :class:`LorentzIsometry`, which checks it); a
+    stack raises ``ValueError``.
     """
-    lin = g.linear if isinstance(g, LorentzIsometry) else _as_float_matrix(g)
-    if not np.all(np.isfinite(lin)):
-        raise ValueError("cannot classify a matrix with a non-finite entry")
+    if not isinstance(g, LorentzIsometry):
+        raise TypeError(f"expected a LorentzIsometry, got {type(g).__name__}")
+    lin = g.linear
+    if lin.ndim != 2:
+        raise ValueError(f"expected one isometry, got a stack of shape {lin.shape}")
     tr = float(np.trace(lin))
     out = {"kind": None, "trace": tr}
     if tr < 3.0 - _CLASSIFY_TOL:
@@ -242,8 +252,7 @@ def fixed_null_direction(g):
     info = classify_isometry(g)
     if info["kind"] != "parabolic":
         raise ValueError(f"expected a parabolic isometry, got {info['kind']}")
-    lin = g.linear if isinstance(g, LorentzIsometry) else _as_float_matrix(g)
-    _, sing, vt = np.linalg.svd(lin - np.eye(3))
+    _, sing, vt = np.linalg.svd(g.linear - np.eye(3))
     if sing[-1] > _CLASSIFY_TOL:
         raise ValueError("no fixed direction found within tolerance")
     v = vt[-1]

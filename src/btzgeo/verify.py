@@ -73,16 +73,15 @@ class _Recorder:
 
 
 def _random_isometries(rng, n):
-    out = []
-    for _ in range(n):
-        g = lorentz.LorentzIsometry.identity()
-        for _ in range(4):
-            if rng.random() < 0.5:
-                g = g @ lorentz.rotation_about_t_axis(rng.uniform(0.0, TWO_PI))
-            else:
-                g = g @ lorentz.boost_tx(rng.uniform(-0.75, 0.75))
-        out.append(g)
-    return out
+    # n products of 4 random rotations or boosts, one stack; each factor draws a
+    # coin, then u for rng.uniform(lo, hi), which is lo + (hi - lo) u
+    coin, u = np.moveaxis(rng.random((n, 4, 2)), -1, 0)
+    f = np.where(
+        (coin < 0.5)[..., None, None],
+        lorentz.rotation_about_t_axis(TWO_PI * u).linear,
+        lorentz.boost_tx(-0.75 + 1.5 * u).linear,
+    )
+    return lorentz.LorentzIsometry(f[:, 0] @ f[:, 1] @ f[:, 2] @ f[:, 3])
 
 
 def suite_lorentz(seed):
@@ -90,16 +89,12 @@ def suite_lorentz(seed):
     rng = np.random.default_rng(seed)
     eta = lorentz.MINKOWSKI_METRIC
     sample = _random_isometries(rng, 50)
+    lin = sample.linear
 
-    ortho = max(
-        float(np.max(np.abs(g.linear.T @ eta @ g.linear - eta))) for g in sample
-    )
+    ortho = float(np.max(np.abs(np.swapaxes(lin, -1, -2) @ eta @ lin - eta)))
     rec.quantitative("isometry_orthogonality", ortho, 1.0e-12)
 
-    inv = max(
-        float(np.max(np.abs(g.inverse().linear @ g.linear - np.eye(3))))
-        for g in sample
-    )
+    inv = float(np.max(np.abs(sample.inverse().linear @ lin - np.eye(3))))
     rec.quantitative("inverse_exact", inv, 1.0e-12)
 
     worst = 0.0
@@ -169,9 +164,9 @@ def suite_causal(seed):
 
     region = TubeRegion(0.0, 1.0, 0.0, 2.0)
     curves = causal.sample_causal_curves(region, 50, seed=seed)
-    kinds, _ = causal.validate_causal_batch(0.0, np.stack(curves))
+    kinds, _ = causal.validate_causal_batch(0.0, curves)
     bad = int(np.count_nonzero(kinds == "violation"))
-    nondec = all(np.all(np.diff(c[:, 1]) >= 0.0) for c in curves)
+    nondec = bool(np.all(np.diff(curves[:, :, 1], axis=1) >= 0.0))
     rec.quantitative(
         "random_curves_causal", float(bad + (0 if nondec else 1)), 0.0,
         detail="50 curves, radii non-decreasing",

@@ -264,7 +264,7 @@ def test_criterion_08_causal_structure():
         nodes += grid.reach.size
 
     region = TubeRegion(0.0, 1.0, 0.0, 2.0)
-    curves = np.stack(sample_causal_curves(region, 10_000, seed=108))
+    curves = sample_causal_curves(region, 10_000, seed=108)
     kinds, _ = validate_causal_batch(0.0, curves)
     n_valid = int(np.count_nonzero(kinds != "violation"))
     nondecreasing = bool(np.all(np.diff(curves[:, :, 1], axis=1) >= 0.0))

@@ -319,7 +319,7 @@ class TestValidateCausal:
     def test_batch_agrees_with_scalar(self):
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         curves = sample_causal_curves(region, 40, seed=5)
-        kinds, first_bad = validate_causal_batch(0.0, np.stack(curves))
+        kinds, first_bad = validate_causal_batch(0.0, curves)
         for i, c in enumerate(curves):
             assert validate_causal(0.0, c).kind == kinds[i]
         assert np.all(first_bad == -1)
@@ -328,9 +328,8 @@ class TestValidateCausal:
 class TestSampledCurves:
     def test_all_valid_and_monotone(self):
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
-        curves = sample_causal_curves(region, 100, seed=3)
-        assert len(curves) == 100
-        stack = np.stack(curves)
+        stack = sample_causal_curves(region, 100, seed=3)
+        assert stack.shape == (100, 9, 3)
         kinds, _ = validate_causal_batch(0.0, stack)
         assert np.all(kinds != "violation")
         assert np.all(np.diff(stack[:, :, 1], axis=1) >= 0.0)
@@ -653,3 +652,29 @@ class TestSortedPool:
         assert pool.stop[-1] == 20_000
         for arr in (pool.tau, pool.r, pool.th, pool.key):
             assert not arr.flags.writeable
+
+
+# =========================================================================
+# Input guards
+# =========================================================================
+
+_MASSIVE = TubeRegion(math.pi, 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: MeasureConfig(weight3=0.0, weight1=0.0),
+                 "at least one weight", id="zero-weights"),
+    pytest.param(lambda: MeasureConfig(n_samples=0), "at least one sample", id="no-samples"),
+    pytest.param(lambda: volume_time_report(_MASSIVE, (1.0, 0.5, 0.0)),
+                 "extremal tube regions", id="volume-time-massive"),
+    pytest.param(lambda: sample_causal_curves(_MASSIVE, 5),
+                 "targets extremal tube regions", id="curves-massive"),
+    pytest.param(lambda: validate_causal_batch(0.0, np.zeros((4, 3))),
+                 "(m, n, 3) sample stack", id="batch-2d"),
+    pytest.param(lambda: validate_causal_batch(0.0, np.zeros((2, 1, 3))),
+                 "(m, n, 3) sample stack", id="batch-one-sample"),
+])
+def test_input_guards(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)

@@ -84,7 +84,7 @@ def segment_inputs():
     rng = np.random.default_rng(303)
     stacks = []
     for seed in range(20):
-        curves = np.stack(sample_causal_curves(region, 12, seed=seed))
+        curves = sample_causal_curves(region, 12, seed=seed)
         stacks.append(curves)
         noisy = curves + 1.0e-3 * rng.normal(size=curves.shape)
         noisy[..., 1] = np.where(curves[..., 1] == 0.0, 0.0, np.abs(noisy[..., 1]))

@@ -67,6 +67,19 @@ class TestVerifyCommand:
             "62dc0701f172081f3aac3d036f19aae05a33073bf501d3af6c6d476e648974ea"
         )
 
+    def test_seeds_1_to_10_report_digest(self, capsys, tmp_path):
+        # every suite's random draws over ten seeds, not only the benchmark's seed 7
+        digest = hashlib.sha256()
+        for seed in range(1, 11):
+            out = tmp_path / f"verify{seed}.json"
+            argv = ["verify", "--suite", "all", "--seed", str(seed), "--no-timing",
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == (
+            "b3fb55b8bbda124bd67ef117b912bdf4a05a984dde68617495ee88a83166ef2d"
+        )
+
     def test_no_timing_is_byte_deterministic(self, capsys):
         argv = ["verify", "--suite", "lorentz", "--seed", "7", "--no-timing"]
         _, first = run_cli(capsys, argv)
@@ -499,6 +512,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("holonomy", [
         [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # not eta-orthogonal
         [[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # checks overflow
+        [btz_holonomy_generator().linear.tolist()] * 2,  # a stack, not one isometry
     ])
     def test_chart_holonomy_not_an_isometry(self, tmp_path, capsys, holonomy):
         chart = tmp_path / "chart.json"

@@ -220,3 +220,16 @@ class TestReport:
         assert report["model"] == "massive"
         assert report["holonomy_class"] == "elliptic"
         assert abs(report["angle"] - 1.2) < 1e-15
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: rescale_btz(0), "must be nonzero", id="rescale-zero"),
+    pytest.param(lambda: match_cone_charts(-1.0, 1.0), "invalid cone angle -1.0",
+                 id="match-invalid-angle"),
+    pytest.param(lambda: match_cone_charts(1.0, 7.0), "invalid cone angle 7.0",
+                 id="match-invalid-second-angle"),
+])
+def test_input_guards(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btzgeo import verify
 from btzgeo.errors import InvalidIsometryError
 from btzgeo.lorentz import (
     MINKOWSKI_METRIC,
@@ -129,6 +130,51 @@ class TestLorentzIsometry:
         g = boost_tx(350.0)
         assert g.linear[0, 0] == math.cosh(350.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 4), (2, 3, 2)])
+    def test_rejects_a_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+            LorentzIsometry(np.ones(shape))
+
+    @pytest.mark.parametrize("bad, message", [
+        (2.0 * np.eye(3), "not eta-orthogonal"),
+        (np.diag([1.0, 1.0, -1.0]), r"det\(L\) = -1.0"),
+        (np.diag([-1.0, -1.0, 1.0]), "time orientation reversed"),
+        (np.diag([1.0, 1.0, math.nan]), "non-finite"),
+    ])
+    def test_one_bad_matrix_rejects_the_stack(self, bad, message):
+        good = boost_tx(0.4).linear
+        stack = np.stack([[good, good, bad], [good, 2.0 * np.eye(3), good]])
+        # stack order is C order: the bad matrix at [0, 2] comes first
+        with pytest.raises(InvalidIsometryError, match=message):
+            LorentzIsometry(stack)
+        with pytest.raises(InvalidIsometryError, match=message):
+            LorentzIsometry(bad)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,)])
+    def test_factor_stacks_match_the_scalar_formulas(self, shape):
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, shape)
+        rot = rotation_about_t_axis(x).linear
+        boost = boost_tx(x).linear
+        assert rot.shape == boost.shape == shape + (3, 3)
+        for idx in np.ndindex(shape):
+            v = float(x[idx])
+            c, s = math.cos(v), math.sin(v)
+            assert rot[idx].tolist() == [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]
+            c, s = math.cosh(v), math.sinh(v)
+            assert boost[idx].tolist() == [[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_stack_products_and_inverse_act_matrix_by_matrix(self):
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, (4, 2))
+        a, b = rotation_about_t_axis(x), boost_tx(x)
+        prod, inv = (a @ b).linear, a.inverse().linear
+        for idx in np.ndindex(x.shape):
+            one_a = rotation_about_t_axis(x[idx])
+            one_b = boost_tx(x[idx])
+            assert np.array_equal(prod[idx], (one_a @ one_b).linear)
+            assert np.array_equal(inv[idx], one_a.inverse().linear)
+        assert np.array_equal(a.apply_linear([1.0, 2.0, 3.0])[1, 0],
+                              rotation_about_t_axis(x[1, 0]).apply_linear([1.0, 2.0, 3.0]))
+
     def test_inverse_closed_form(self):
         g = boost_tx(0.6) @ rotation_about_t_axis(1.1)
         eta = MINKOWSKI_METRIC
@@ -193,11 +239,18 @@ class TestClassification:
         assert info["kind"] == "elliptic"
         assert abs(info["angle"] - phi) < 1e-9
 
-
     @pytest.mark.parametrize("linear", NON_FINITE)
     def test_raw_non_finite_matrix_raises(self, linear):
-        with pytest.raises(ValueError, match="non-finite"):
+        # a raw matrix is not classified; LorentzIsometry is where it is checked
+        with pytest.raises(TypeError, match="expected a LorentzIsometry, got ndarray"):
             classify_isometry(linear)
+        with pytest.raises(InvalidIsometryError, match="non-finite"):
+            classify_isometry(LorentzIsometry(linear))
+
+    def test_stack_raises(self):
+        stack = rotation_about_t_axis(np.array([0.3, 1.3]))
+        with pytest.raises(ValueError, match="expected one isometry"):
+            classify_isometry(stack)
 
 
 class TestFixedNullDirection:
@@ -208,3 +261,64 @@ class TestFixedNullDirection:
     def test_rejects_elliptic(self):
         with pytest.raises(ValueError):
             fixed_null_direction(rotation_about_t_axis(0.7))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(
+        # parabolic to the 1e-9 trace test, yet its fixed direction is not null
+        lambda: fixed_null_direction(
+            boost_tx(3.0) @ rotation_about_t_axis(2e-5) @ boost_tx(3.0).inverse()
+        ),
+        "fixed direction is not null", id="fixed-not-null",
+    ),
+    pytest.param(lambda: fixed_null_direction(LorentzIsometry(np.stack([PARABOLIC] * 2))),
+                 "expected one isometry", id="fixed-stack"),
+])
+def test_input_guards(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+class TestRandomIsometries:
+    @staticmethod
+    def loop_reference(rng, n):
+        # one validated product per factor, in the draw order of the stack
+        out = []
+        for _ in range(n):
+            g = LorentzIsometry.identity()
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    g = g @ rotation_about_t_axis(rng.uniform(0.0, 2.0 * math.pi))
+                else:
+                    g = g @ boost_tx(rng.uniform(-0.75, 0.75))
+            out.append(g.linear)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_stack_replays_the_loop(self, seed):
+        stack = verify._random_isometries(np.random.default_rng(seed), 50)
+        reference = self.loop_reference(np.random.default_rng(seed), 50)
+        assert np.array_equal(stack.linear, reference)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        shapes = []
+        validate = LorentzIsometry.__post_init__
+
+        def counting(self):
+            shapes.append(np.shape(self.linear))
+            validate(self)
+
+        monkeypatch.setattr(LorentzIsometry, "__post_init__", counting)
+        return shapes
+
+    @pytest.mark.parametrize("n", [1, 50, 500])
+    def test_three_validations_whatever_n(self, built, n):
+        verify._random_isometries(np.random.default_rng(0), n)
+        assert built == [(n, 4, 3, 3), (n, 4, 3, 3), (n, 3, 3)]
+
+    def test_a_verify_run_validates_few_isometries(self, built):
+        # 562 per run when each sample factor and product was its own object
+        verify.run_suites(list(verify.SUITES), 7)
+        assert len(built) <= 70

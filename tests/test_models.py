@@ -151,3 +151,18 @@ class TestCircumference:
 
     def test_regular(self):
         assert circle_circumference(TWO_PI, 1.0) == TWO_PI
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(
+        lambda: in_region(TubeRegion(0.0, 1.0, 0.0, 2.0), ModelPoint(math.pi, 1.0, 0.5, 0.0)),
+        "cone angle mismatch", id="in-region-angle",
+    ),
+    pytest.param(lambda: omega_metric_at(0.5, -1.0), "negative radius", id="omega-metric-r"),
+    pytest.param(lambda: circle_circumference(math.pi, -1.0), "negative radius",
+                 id="circumference-r"),
+])
+def test_input_guards(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)

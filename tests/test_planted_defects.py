@@ -5,9 +5,48 @@ import json
 
 import numpy as np
 import pytest
+import test_acceptance
 
-from btzgeo import cli, extensions, modular, verify
+from btzgeo import (
+    causal, cli, develop, extensions, lorentz, models, modular, surfaces, verify,
+)
 from btzgeo.errors import GluingMismatchError
+
+
+def _failed(results):
+    return {c.name for c in results if not c.passed}
+
+
+def test_boosted_holonomy_generator_fails_the_holonomy_checks(monkeypatch):
+    # gamma composed with a boost of rapidity 1e-6 is still an isometry, but
+    # no longer the deck transformation of the tube
+    generator = develop.btz_holonomy_generator
+
+    def boosted():
+        return generator() @ lorentz.boost_tx(1e-6)
+
+    monkeypatch.setattr(develop, "btz_holonomy_generator", boosted)
+    monkeypatch.setattr(test_acceptance, "btz_holonomy_generator", boosted)
+    failed = _failed(verify.suite_develop(7))
+    assert {"holonomy_equivariance", "holonomy_fixed_null"} <= failed
+    with pytest.raises(AssertionError, match="criterion 02"):
+        test_acceptance.test_criterion_02_holonomy_equivariance()
+
+
+def test_wrong_extremal_chart_form_fails_the_metric_checks(monkeypatch):
+    # c_tr = -1.9 in place of -2: every reader of chart_form sees the defect
+    form = models.chart_form
+
+    def wrong(alpha):
+        c_tt, c_tr, s = form(alpha)
+        return (c_tt, -1.9, s) if alpha == 0.0 else (c_tt, c_tr, s)
+
+    for module in (models, causal, surfaces, cli):
+        monkeypatch.setattr(module, "chart_form", wrong)
+    assert "omega_one_extremal" in _failed(verify.suite_models(7))
+    assert {"btz_pullback_exact", "btz_pullback_fd"} <= _failed(verify.suite_develop(7))
+    with pytest.raises(AssertionError, match="criterion 04"):
+        test_acceptance.test_criterion_04_omega_family()
 
 
 def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):

@@ -526,3 +526,45 @@ class TestAssemble:
         )
         with pytest.raises(ValueError):
             assemble_cauchy(ring, inner)
+
+
+def _flat(alpha=0.0, radius=1.0, punctured=False, r_inner=0.0):
+    def zero(r, th):
+        return np.zeros(np.broadcast(r, th).shape)
+
+    return GraphSurface.from_functions(
+        alpha, radius, zero, zero, zero, punctured=punctured, r_inner=r_inner
+    )
+
+
+_TH8 = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: _flat(alpha=-1.0), "invalid cone angle", id="surface-angle"),
+    pytest.param(lambda: _flat(r_inner=1.0), "0 <= r_inner < radius", id="surface-radii"),
+    pytest.param(lambda: _flat(punctured=True, r_inner=0.5), "r_inner == 0",
+                 id="surface-punctured-inner"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [0.5, 1.0], _TH8, np.zeros((3, 8))),
+                 "shaped (n_r, n_theta)", id="grid-shape"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [0.0, 1.0], _TH8, np.zeros((2, 8))),
+                 "r_nodes must be positive", id="grid-r-zero"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [1.0, 0.5], _TH8, np.zeros((2, 8))),
+                 "r_nodes must be positive and increasing", id="grid-r-decreasing"),
+    pytest.param(lambda: surface_length(hyperbolic_plane_surface(), [[0.5, 0.0]]),
+                 "(n, 2) path", id="length-one-node"),
+    pytest.param(lambda: surface_length(hyperbolic_plane_surface(), np.zeros((3, 3))),
+                 "(n, 2) path", id="length-3-columns"),
+    pytest.param(lambda: completeness_certificate(_flat()), "punctured surfaces",
+                 id="certificate-unpunctured"),
+    pytest.param(lambda: completeness_certificate(_flat(alpha=math.pi, punctured=True)),
+                 "extremal ambient", id="certificate-massive"),
+    pytest.param(
+        lambda: assemble_cauchy(_flat(radius=2.0, r_inner=1.0), _flat(alpha=math.pi)),
+        "ambient cone angles differ", id="assemble-two-ambients",
+    ),
+])
+def test_input_guards(call, fragment):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
