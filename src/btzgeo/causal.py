@@ -79,6 +79,8 @@ larger scale) evaluates every bucket whole.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -337,7 +339,8 @@ class MeasureConfig:
     """Weights and sample count for the two-stratum volume measure.
 
     The measure is ``weight3 * (r dtau dr dtheta)`` on the regular part plus
-    ``weight1 * dtau`` on the singular line.
+    ``weight1 * dtau`` on the singular line.  Weights are finite and
+    nonnegative, not both zero; ``n_samples`` is a positive integer.
     """
 
     weight3: float = 1.0
@@ -345,10 +348,14 @@ class MeasureConfig:
     n_samples: int = 100_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.weight3) and math.isfinite(self.weight1)):
+            raise ValueError("weights must be finite")
         if self.weight3 < 0.0 or self.weight1 < 0.0:
             raise ValueError("weights must be nonnegative")
         if self.weight3 == 0.0 and self.weight1 == 0.0:
             raise ValueError("at least one weight must be positive")
+        if not isinstance(self.n_samples, numbers.Integral):
+            raise TypeError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
 
@@ -380,6 +387,9 @@ _TH_BUCKETS = 32
 _BAND_EPS = 1.0e-7
 _BAND_DR = 1.0e-4
 _ULP = 2.0**-53  # unit roundoff of float64
+
+# Radial steps of the grid BFS stencil per tau slice (see grid_reachability).
+_RADIAL_STEPS = (0, 1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -696,65 +706,51 @@ def grid_reachability(
 ) -> ReachabilityGrid:
     """BFS causal reachability on the extremal tube grid.
 
-    The grid covers tau and r in [0, 1].  The step stencil moves one tau
-    slice forward and at most two radial steps and one angular step; with
-    equal tau and r spacing the purely radial steps (1 null vertical, 1 timelike, 2 exactly null) realise the
-    boundary of the causal future exactly.  Exits from the line reach every
-    angle (the line is a single point per slice).  The decision per edge is
-    only the secant q-form test, independent of the closed-form relation.
+    The grid covers tau and r in [0, 1] with n_tau, n_r >= 2 and n_theta >= 1
+    nodes.  The step stencil moves one tau slice forward, by one of
+    ``_RADIAL_STEPS`` radial steps and at most one angular step; with equal
+    tau and r spacing the purely radial steps (0 null vertical, 1 timelike,
+    2 exactly null) realise the boundary of the causal future exactly.  Exits
+    from the line reach every angle (the line is a single point per slice).
+    The decision per edge is only the secant q-form test, independent of the
+    closed-form relation.
     """
-    i0, j0, k0 = base
+    if n_tau < 2 or n_r < 2 or n_theta < 1:
+        raise ValueError(f"grid needs n_tau, n_r >= 2, n_theta >= 1, got {n_tau, n_r, n_theta}")
+    i0, j0, k0 = map(operator.index, base)
+    if not (0 <= i0 < n_tau and 0 <= j0 < n_r and 0 <= k0 < n_theta):
+        raise ValueError(f"base node {tuple(base)} lies outside the grid")
     taus = np.linspace(0.0, 1.0, n_tau)
     radii = np.linspace(0.0, 1.0, n_r)
     thetas = np.arange(n_theta) * (TWO_PI / n_theta)
     h_tau = taus[1] - taus[0]
     h_th = TWO_PI / n_theta
 
-    # Edge admissibility per (target j, dj, dk): q-form of the secant at the
-    # larger radius (the target, since radii never decrease along edges).
-    djs = (0, 1, 2)
-    dks = (-1, 0, 1)
-    allowed = np.zeros((n_r, len(djs), len(dks)), dtype=bool)
-    for a, dj in enumerate(djs):
-        for b, dk in enumerate(dks):
-            dr = radii[dj] - radii[0] if dj else 0.0
-            dphi = dk * h_th
-            q = -2.0 * h_tau * dr + dr**2 + (radii * dphi) ** 2
-            scale = h_tau**2 + dr**2 + (radii * dphi) ** 2
-            allowed[:, a, b] = q <= _DEFAULT_TOL * scale
-    exit_ok = np.zeros(n_r, dtype=bool)
-    for j in (1, 2):
-        if j < n_r:
-            dr = radii[j]
-            q = dr * (dr - 2.0 * h_tau)
-            exit_ok[j] = q <= _DEFAULT_TOL * (h_tau**2 + dr**2)
+    # Edge admissibility per (target j, radial step, angular step -1/0/+1):
+    # q-form of the secant at the larger radius (the target, since radii
+    # never decrease along edges).  linspace makes radii[dj] = dj * radii[1].
+    dr = np.array(_RADIAL_STEPS)[None, :, None] * radii[1]
+    rdphi = radii[:, None, None] * (np.array((-1, 0, 1)) * h_th)
+    q = -2.0 * h_tau * dr + dr**2 + rdphi**2
+    allowed = q <= _DEFAULT_TOL * (h_tau**2 + dr**2 + rdphi**2)
+    exit_r = radii[1:3]  # exits from the line reach rows 1 and 2
+    exit_ok = exit_r * (exit_r - 2.0 * h_tau) <= _DEFAULT_TOL * (h_tau**2 + exit_r**2)
 
     reach = np.zeros((n_tau, n_r, n_theta), dtype=bool)
-    if j0 == 0:
-        reach[i0, 0, :] = True
-    else:
-        reach[i0, j0, k0] = True
+    reach[i0, j0, k0 if j0 else slice(None)] = True  # a line base holds every angle
 
     for i in range(i0 + 1, n_tau):
-        prev = reach[i - 1]
-        cur = np.zeros((n_r, n_theta), dtype=bool)
+        prev, cur = reach[i - 1], reach[i]
+        # column 1 + k of pad is theta node k, wrapped one node each way
+        pad = np.concatenate([prev[:, -1:], prev, prev[:, :1]], axis=1)
         cur[0, :] = prev[0, 0]
-        for a, dj in enumerate(djs):
-            for b, dk in enumerate(dks):
-                rolled = np.roll(prev, dk, axis=1)
-                contrib = np.zeros((n_r, n_theta), dtype=bool)
-                if dj:
-                    contrib[dj:, :] = rolled[:-dj, :]
-                else:
-                    contrib = rolled.copy()
-                contrib[0, :] = False  # line handled separately
-                contrib[:dj, :] = False
-                cur |= contrib & allowed[:, a, b][:, None]
+        for a, dj in enumerate(_RADIAL_STEPS):
+            lo = max(dj, 1)  # the line row is handled separately
+            for b, dk in enumerate((-1, 0, 1)):
+                src = pad[lo - dj : n_r - dj, 1 - dk : 1 - dk + n_theta]
+                cur[lo:] |= src & allowed[lo:, a, b, None]
         if prev[0, 0]:
-            for j in (1, 2):
-                if j < n_r and exit_ok[j]:
-                    cur[j, :] = True
-        reach[i] = cur
+            cur[1:3][exit_ok] = True
     return ReachabilityGrid(reach=reach, taus=taus, radii=radii, thetas=thetas, base=tuple(base))
 
 

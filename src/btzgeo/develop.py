@@ -31,6 +31,7 @@ import numpy as np
 
 from .lorentz import (
     LorentzIsometry,
+    boost_tx,
     classify_isometry,
     fixed_null_direction,
     rotation_about_t_axis,
@@ -187,12 +188,15 @@ class RescaleReport:
 
 
 def rescale_btz(lam) -> RescaleReport:
-    """Report on the angular rescaling of the extremal tube by ``lam``."""
+    """Report on the angular rescaling of the extremal tube by ``lam``.
+
+    The map scales g_thth = r^2 by lam^2, so its residual |lam^2 - 1| r^2 on
+    the unit tube is largest at r = 1: ``max_residual`` is |lam^2 - 1|.
+    """
     lam = float(lam)
-    if lam == 0.0:
-        raise ValueError("rescaling factor must be nonzero")
-    radii = np.linspace(0.1, 1.0, 10)
-    residual = float(np.max(np.abs(lam**2 - 1.0) * radii**2))
+    if lam == 0.0 or not math.isfinite(lam * lam):
+        raise ValueError(f"rescaling factor must be nonzero with a finite square, got {lam!r}")
+    residual = abs(lam**2 - 1.0)
     return RescaleReport(
         lam=lam,
         angular_factor=lam**2,
@@ -212,7 +216,7 @@ def boost_conjugate(g: LorentzIsometry, rapidity) -> LorentzIsometry:
     v = fixed_null_direction(g)
     psi = math.atan2(v[2], v[1])
     c, s = math.cos(psi), math.sin(psi)
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    ch, sh = boost_tx(rapidity).linear[0, :2]
     rot = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]], dtype=np.longdouble)
     boost = np.array(
         [[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]], dtype=np.longdouble

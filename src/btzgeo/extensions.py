@@ -189,8 +189,8 @@ def sample_chain_monotone(n=1000, seed=0):
     """Sampled verification that the chain is monotone under inclusion.
 
     Draws n random points (including some on the line) and returns the
-    number whose membership pattern fails to be monotone nondecreasing
-    along the chain (always 0; kept as a counted check for reports).
+    number whose membership pattern is not monotone nondecreasing along the
+    chain: 0 for the chain as defined, more when a stage region is broken.
     """
     rng = np.random.default_rng(seed)
     times = rng.uniform(-2.0, 2.0, n)

@@ -181,9 +181,12 @@ def _fault(lin, scale, residual, det):
 def rotation_about_t_axis(angle) -> LorentzIsometry:
     """Elliptic element: Euclidean rotation of the (x, y) plane.
 
-    An array of angles gives the stack of their rotations.
+    An array of angles gives the stack of their rotations; a non-finite
+    angle raises ``ValueError``.
     """
     x = np.asarray(angle, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     cs = ((math.cos(v), math.sin(v)) for v in x.ravel().tolist())
     lin = np.array([[[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]] for c, s in cs])
     return LorentzIsometry(lin.reshape(x.shape + (3, 3)))
@@ -192,12 +195,16 @@ def rotation_about_t_axis(angle) -> LorentzIsometry:
 def boost_tx(rapidity) -> LorentzIsometry:
     """Hyperbolic element: boost in the (t, x) plane, fixing the y axis.
 
-    An array of rapidities gives the stack of their boosts.
+    An array of rapidities gives the stack of their boosts; one that
+    overflows raises :class:`InvalidIsometryError`.
     """
     x = np.asarray(rapidity, dtype=float)
     # math, entry by entry: numpy's cosh and sinh may differ in the last place
     cs = ((math.cosh(v), math.sinh(v)) for v in x.ravel().tolist())
-    lin = np.array([[[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]] for c, s in cs])
+    try:
+        lin = np.array([[[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]] for c, s in cs])
+    except OverflowError:
+        raise InvalidIsometryError(f"non-finite boost at rapidity {rapidity!r}") from None
     return LorentzIsometry(lin.reshape(x.shape + (3, 3)))
 
 

@@ -55,9 +55,9 @@ TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1.0e-12
 
 
-def is_valid_cone_angle(alpha) -> bool:
-    """Cone angles are 0 (extremal tube) or values in (0, 2pi]."""
-    return alpha == 0.0 or 0.0 < alpha <= TWO_PI + _ANGLE_TOL
+def is_valid_cone_angle(alpha):
+    """Cone angles are 0 (extremal tube) or values in (0, 2pi]; entrywise."""
+    return (alpha == 0.0) | ((0.0 < alpha) & (alpha <= TWO_PI + _ANGLE_TOL))
 
 
 def is_singular(alpha) -> bool:
@@ -67,7 +67,8 @@ def is_singular(alpha) -> bool:
 
 
 def _check_angle(alpha):
-    if not is_valid_cone_angle(alpha):
+    ok = is_valid_cone_angle(alpha)
+    if not (ok is True or np.all(ok)):  # a valid float skips np.all's microseconds
         raise ValueError(f"invalid cone angle {alpha!r}: expected 0 or (0, 2pi]")
 
 
@@ -136,17 +137,30 @@ def chart_form(alpha):
     """Coefficients (c_tt, c_tr, s) of the alpha-model's chart metric.
 
     The metric is c_tt dt^2 + c_tr dt dr + dr^2 + (s r dtheta)^2: (0, -2, 1)
-    for the extremal tube and (-1, 0, alpha/2pi) for a massive cone.  Raises
-    ``ValueError`` for an invalid cone angle.
+    for the extremal tube and (-1, 0, alpha/2pi) for a massive cone.  An
+    array of angles gives three arrays of its shape.  Raises ``ValueError``
+    for an invalid cone angle.
     """
     _check_angle(alpha)
-    if alpha == 0.0:
-        return 0.0, -2.0, 1.0
-    return -1.0, 0.0, alpha / TWO_PI
+    line = alpha == 0.0  # a bool or bool array; "0.0 -" keeps c_tr = +0.0 on cones
+    return line - 1.0, 0.0 - 2.0 * line, alpha / TWO_PI + line
+
+
+def _entrywise(f, x):
+    # math and Python's x**2 per entry: numpy's may differ from them in the last place
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _finite_radius(r):
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("radius must be finite")
+    return r
 
 
 def _form_metric(c_tt, c_tr, s, r):
-    g = np.zeros(r.shape + (3, 3))
+    g = np.zeros(np.broadcast(c_tt, c_tr, s, r).shape + (3, 3))
     g[..., 0, 0] = c_tt
     g[..., 0, 1] = g[..., 1, 0] = 0.5 * c_tr
     g[..., 1, 1] = 1.0
@@ -155,33 +169,37 @@ def _form_metric(c_tt, c_tr, s, r):
 
 
 def metric_at(alpha, r):
-    """Model metric in chart coordinates at radius ``r`` (one point or a stack).
+    """Model metric in chart coordinates at radius ``r``, shaped (..., 3, 3).
 
-    Rows/columns are ordered (time, r, theta).  Raises
+    ``alpha`` and ``r`` are each one value or an array, broadcast against
+    each other.  Rows/columns are ordered (time, r, theta).  Raises
     :class:`SingularPointError` at r = 0: even for alpha = 2pi the polar
-    chart degenerates there.
+    chart degenerates there.  A non-finite radius raises ``ValueError``.
     """
     form = chart_form(alpha)
-    r = np.asarray(r, dtype=float)
+    r = _finite_radius(r)
     if np.any(r <= 0.0):
         raise SingularPointError("metric tensor is undefined at r = 0")
     return _form_metric(*form, r)
 
 
 def omega_metric_at(omega, r):
-    """Interpolating metric g_omega at radius ``r``.
+    """Interpolating metric g_omega at radius ``r``, shaped (..., 3, 3).
 
-    Defined for |omega| <= 1; determinant is -r^2 independently of omega.
+    ``omega`` and ``r`` are each one value or an array, broadcast against
+    each other.  Defined for |omega| <= 1 (NaN and infinite omega or radii
+    raise ``ValueError``); determinant is -r^2 independently of omega.
     omega = 0 is cylindrical Minkowski space, omega = 1 the extremal tube.
     Unlike :func:`metric_at` this is evaluated at r = 0 too (the formal
     limit), where the theta-theta entry vanishes.
     """
-    if abs(omega) > 1.0:
+    w = np.asarray(omega, dtype=float)
+    if not np.all(np.abs(w) <= 1.0):
         raise ValueError(f"omega must lie in [-1, 1], got {omega!r}")
-    r = np.asarray(r, dtype=float)
+    r = _finite_radius(r)
     if np.any(r < 0.0):
         raise ValueError("negative radius")
-    return _form_metric(-(1.0 - omega**2), -2.0 * omega, 1.0, r)
+    return _form_metric(-(1.0 - _entrywise(lambda v: v**2, w)), -2.0 * w, 1.0, r)
 
 
 @dataclass(frozen=True)
@@ -195,7 +213,9 @@ class OmegaTransform:
     (theta unchanged) pulls the omega-family metric at
     omega = tanh(beta) = sqrt(1 - (alpha/2pi)^2) back to the massive cone
     metric of angle alpha.  For alpha = 2pi it is the identity with omega = 0.
-    The map is linear, so :meth:`jacobian` is the map itself.
+    The map is linear, so :meth:`jacobian` is the map itself.  Built from an
+    array of angles, ``beta`` and ``omega`` are arrays of its shape and the
+    jacobian is a (..., 3, 3) stack.
     """
 
     alpha: float
@@ -203,25 +223,25 @@ class OmegaTransform:
     omega: float
 
     def jacobian(self) -> np.ndarray:
-        c, s = math.cosh(self.beta), math.sinh(self.beta)
-        return np.array(
-            [[c, -s, 0.0], [0.0, 1.0 / c, 0.0], [0.0, 0.0, 1.0]]
-        )
+        c = _entrywise(math.cosh, self.beta)
+        jac = np.broadcast_to(np.eye(3), c.shape + (3, 3)).copy()
+        jac[..., 0, 0], jac[..., 1, 1] = c, 1.0 / c
+        jac[..., 0, 1] = -_entrywise(math.sinh, self.beta)
+        return jac
 
 
 def omega_transform(alpha) -> OmegaTransform:
-    """Build the chart map of :class:`OmegaTransform` for a massive angle.
+    """The chart map of :class:`OmegaTransform` for a massive angle or an array.
 
     Requires 0 < alpha <= 2pi; the extremal tube (alpha = 0) is the
     omega -> 1 endpoint and is not reached by a finite rapidity.
     """
     _check_angle(alpha)
-    if alpha == 0.0:
+    a = np.asarray(alpha, dtype=float)
+    if np.any(a == 0.0):
         raise ValueError("alpha = 0 is the omega = 1 limit; no finite chart map")
-    a = alpha / TWO_PI
-    beta = float(np.arccosh(1.0 / a))
-    omega = math.tanh(beta)
-    return OmegaTransform(alpha=alpha, beta=beta, omega=omega)
+    beta = np.arccosh(1.0 / (a / TWO_PI))
+    return OmegaTransform(alpha, beta[()], _entrywise(math.tanh, beta)[()])
 
 
 def circle_circumference(alpha, r0) -> float:

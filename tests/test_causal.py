@@ -368,6 +368,75 @@ class TestGridReachability:
         with pytest.raises(ValueError):
             reachability_closed_form(grid_reachability(base=(0, 3, 0), n_tau=9, n_r=9, n_theta=5))
 
+    @pytest.mark.parametrize("base, shape", [
+        ((0, 0, 0), (41, 41, 17)),
+        ((0, 0, 0), (21, 21, 9)),
+        ((3, 5, 2), (21, 21, 9)),
+        ((0, 1, 0), (30, 3, 4)),
+        ((2, 0, 3), (30, 3, 4)),
+        ((4, 7, 0), (13, 29, 1)),
+        ((1, 2, 1), (25, 11, 2)),
+    ])
+    def test_matches_the_per_step_loop(self, base, shape):
+        # off-line bases and unequal spacings, where the closed form is not an
+        # oracle: the BFS keeps the reach of a per-step np.roll loop
+        grid = grid_reachability(base, *shape)
+        assert np.array_equal(grid.reach, _roll_loop_reach(base, *shape))
+
+    def test_two_radial_nodes(self):
+        grid = grid_reachability(n_tau=3, n_r=2, n_theta=4)
+        assert np.array_equal(grid.reach, reachability_closed_form(grid))
+
+
+def _roll_loop_reach(base, n_tau, n_r, n_theta):
+    """Grid BFS written one np.roll copy per stencil edge and tau slice."""
+    i0, j0, k0 = base
+    taus = np.linspace(0.0, 1.0, n_tau)
+    radii = np.linspace(0.0, 1.0, n_r)
+    h_tau = taus[1] - taus[0]
+    h_th = TWO_PI / n_theta
+    djs = (0, 1, 2)
+    dks = (-1, 0, 1)
+    allowed = np.zeros((n_r, len(djs), len(dks)), dtype=bool)
+    for a, dj in enumerate(djs):
+        for b, dk in enumerate(dks):
+            dr = radii[dj] - radii[0] if dj else 0.0
+            dphi = dk * h_th
+            q = -2.0 * h_tau * dr + dr**2 + (radii * dphi) ** 2
+            scale = h_tau**2 + dr**2 + (radii * dphi) ** 2
+            allowed[:, a, b] = q <= 1.0e-9 * scale
+    exit_ok = np.zeros(n_r, dtype=bool)
+    for j in (1, 2):
+        if j < n_r:
+            dr = radii[j]
+            exit_ok[j] = dr * (dr - 2.0 * h_tau) <= 1.0e-9 * (h_tau**2 + dr**2)
+    reach = np.zeros((n_tau, n_r, n_theta), dtype=bool)
+    if j0 == 0:
+        reach[i0, 0, :] = True
+    else:
+        reach[i0, j0, k0] = True
+    for i in range(i0 + 1, n_tau):
+        prev = reach[i - 1]
+        cur = np.zeros((n_r, n_theta), dtype=bool)
+        cur[0, :] = prev[0, 0]
+        for a, dj in enumerate(djs):
+            for b, dk in enumerate(dks):
+                rolled = np.roll(prev, dk, axis=1)
+                contrib = np.zeros((n_r, n_theta), dtype=bool)
+                if dj:
+                    contrib[dj:, :] = rolled[:-dj, :]
+                else:
+                    contrib = rolled.copy()
+                contrib[0, :] = False
+                contrib[:dj, :] = False
+                cur |= contrib & allowed[:, a, b][:, None]
+        if prev[0, 0]:
+            for j in (1, 2):
+                if j < n_r and exit_ok[j]:
+                    cur[j, :] = True
+        reach[i] = cur
+    return reach
+
 
 # =========================================================================
 # Volume time
@@ -665,6 +734,10 @@ _MASSIVE = TubeRegion(math.pi, 1.0, 0.0, 2.0)
     pytest.param(lambda: MeasureConfig(weight3=0.0, weight1=0.0),
                  "at least one weight", id="zero-weights"),
     pytest.param(lambda: MeasureConfig(n_samples=0), "at least one sample", id="no-samples"),
+    pytest.param(lambda: MeasureConfig(weight3=math.nan), "weights must be finite",
+                 id="nan-weight3"),
+    pytest.param(lambda: MeasureConfig(weight1=math.inf), "weights must be finite",
+                 id="inf-weight1"),
     pytest.param(lambda: volume_time_report(_MASSIVE, (1.0, 0.5, 0.0)),
                  "extremal tube regions", id="volume-time-massive"),
     pytest.param(lambda: sample_causal_curves(_MASSIVE, 5),
@@ -673,8 +746,30 @@ _MASSIVE = TubeRegion(math.pi, 1.0, 0.0, 2.0)
                  "(m, n, 3) sample stack", id="batch-2d"),
     pytest.param(lambda: validate_causal_batch(0.0, np.zeros((2, 1, 3))),
                  "(m, n, 3) sample stack", id="batch-one-sample"),
+    pytest.param(lambda: grid_reachability(n_tau=1), "got (1, 41, 17)", id="grid-one-slice"),
+    pytest.param(lambda: grid_reachability(n_r=1), "got (41, 1, 17)", id="grid-one-radius"),
+    pytest.param(lambda: grid_reachability(n_theta=0), "n_theta >= 1, got (41, 41, 0)",
+                 id="grid-no-angle"),
+    pytest.param(lambda: grid_reachability(base=(50, 0, 0)), "outside the grid",
+                 id="grid-base-tau"),
+    pytest.param(lambda: grid_reachability(base=(0, -1, 0)), "outside the grid",
+                 id="grid-base-negative-r"),
+    pytest.param(lambda: grid_reachability(base=(0, 0, 99)), "outside the grid",
+                 id="grid-base-theta"),
 ])
 def test_input_guards(call, fragment):
     with pytest.raises(ValueError) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: MeasureConfig(n_samples=1.5), "n_samples must be an integer, got 1.5",
+                 id="fractional-samples"),
+    pytest.param(lambda: grid_reachability(base=(0, 1.5, 0)), "cannot be interpreted as an integer",
+                 id="grid-fractional-base"),
+])
+def test_non_integer_counts_are_type_errors(call, fragment):
+    with pytest.raises(TypeError) as err:
         call()
     assert fragment in str(err.value)

@@ -20,6 +20,7 @@ from btzgeo.develop import (
     match_cone_charts,
     rescale_btz,
 )
+from btzgeo.errors import InvalidIsometryError
 from btzgeo.lorentz import MINKOWSKI_METRIC, classify_isometry, fixed_null_direction
 from btzgeo.models import TWO_PI, is_singular, metric_at
 
@@ -163,7 +164,15 @@ class TestRescale:
         report = rescale_btz(2.0)
         assert not report.is_isometry
         assert report.angular_factor == 4.0
-        assert report.max_residual > 1.0
+        assert report.max_residual == 3.0
+
+    @pytest.mark.parametrize("lam", [1.0 + 1e-13, 0.5, -3.0, 1e-300])
+    def test_residual_is_the_unit_circle_value(self, lam):
+        # |lam^2 - 1| r^2 over radii up to 1, as sampled before the closed form
+        radii = np.linspace(0.1, 1.0, 10)
+        report = rescale_btz(lam)
+        assert report.max_residual == float(np.max(np.abs(lam**2 - 1.0) * radii**2))
+        assert report.is_isometry == (report.max_residual <= 1.0e-12)
 
 
 class TestBoostConjugate:
@@ -178,6 +187,11 @@ class TestBoostConjugate:
         v = fixed_null_direction(conj)
         assert abs(v[0] - 1.0) < 1e-12
         assert abs(-v[0] ** 2 + v[1] ** 2 + v[2] ** 2) < 1e-9
+
+    @pytest.mark.parametrize("mu", [800.0, -800.0, math.nan])
+    def test_overflowing_rapidity_is_not_an_isometry(self, mu):
+        with pytest.raises(InvalidIsometryError, match="non-finite"):
+            boost_conjugate(btz_holonomy_generator(), mu)
 
     def test_zero_rapidity_is_identity_conjugation(self):
         gamma = btz_holonomy_generator()
@@ -224,6 +238,10 @@ class TestReport:
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: rescale_btz(0), "must be nonzero", id="rescale-zero"),
+    pytest.param(lambda: rescale_btz(math.nan), "finite square, got nan", id="rescale-nan"),
+    pytest.param(lambda: rescale_btz(-math.inf), "finite square, got -inf", id="rescale-inf"),
+    pytest.param(lambda: rescale_btz(1e200), "finite square, got 1e+200",
+                 id="rescale-square-overflows"),
     pytest.param(lambda: match_cone_charts(-1.0, 1.0), "invalid cone angle -1.0",
                  id="match-invalid-angle"),
     pytest.param(lambda: match_cone_charts(1.0, 7.0), "invalid cone angle 7.0",

@@ -119,6 +119,8 @@ class TestLorentzIsometry:
     @pytest.mark.parametrize("make", [
         lambda: LorentzIsometry(np.diag([1e200, 1.0, 1.0])),
         lambda: boost_tx(356.0),
+        lambda: boost_tx(800.0),
+        lambda: boost_tx(np.array([0.5, -800.0])),
     ])
     def test_rejects_entries_too_large_to_check(self, make):
         # the squared scale and the residual overflow: a domain error, and
@@ -273,6 +275,10 @@ class TestFixedNullDirection:
     ),
     pytest.param(lambda: fixed_null_direction(LorentzIsometry(np.stack([PARABOLIC] * 2))),
                  "expected one isometry", id="fixed-stack"),
+    pytest.param(lambda: rotation_about_t_axis(math.inf),
+                 "rotation angle must be finite, got inf", id="rotation-inf"),
+    pytest.param(lambda: rotation_about_t_axis(np.array([0.5, math.nan])),
+                 "rotation angle must be finite", id="rotation-nan-entry"),
 ])
 def test_input_guards(call, fragment):
     with pytest.raises(ValueError) as err:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from btzgeo.errors import SingularPointError
 from btzgeo.models import (
     TWO_PI,
+    chart_form,
     ModelPoint,
     TubeRegion,
     circle_circumference,
@@ -142,6 +143,51 @@ class TestOmegaTransform:
         assert np.max(np.abs(pulled - metric_at(alpha, r))) < 1e-9
 
 
+class TestArrays:
+    ALPHAS = np.array([0.0, 0.05, 1.0, math.pi, 5.5, TWO_PI])
+    RADII = np.array([1e-3, 0.5, 1.375, 3.0])
+
+    def test_chart_form_entries(self):
+        forms = chart_form(self.ALPHAS)
+        for i, alpha in enumerate(self.ALPHAS.tolist()):
+            assert tuple(c[i] for c in forms) == chart_form(alpha)
+
+    def test_metrics_broadcast_angles_against_radii(self):
+        stack = metric_at(self.ALPHAS[:, None], self.RADII)
+        assert stack.shape == (6, 4, 3, 3)
+        for i, alpha in enumerate(self.ALPHAS.tolist()):
+            assert np.array_equal(stack[i], metric_at(alpha, self.RADII))
+        omegas = np.array([-1.0, -0.25, 0.0, math.sqrt(0.5), 1.0])
+        radii = np.concatenate([[0.0], self.RADII])
+        stack = omega_metric_at(omegas[:, None], radii)
+        for i, omega in enumerate(omegas.tolist()):
+            assert np.array_equal(stack[i], omega_metric_at(omega, radii))
+
+    def test_omega_transform_entries(self):
+        alphas = self.ALPHAS[1:].reshape(5, 1)
+        tr = omega_transform(alphas)
+        jac = tr.jacobian()
+        assert tr.beta.shape == tr.omega.shape == (5, 1) and jac.shape == (5, 1, 3, 3)
+        for i, alpha in enumerate(alphas.ravel().tolist()):
+            one = omega_transform(alpha)
+            assert (tr.beta[i, 0], tr.omega[i, 0]) == (one.beta, one.omega)
+            assert np.array_equal(jac[i, 0], one.jacobian())
+
+    @pytest.mark.parametrize("seed", [7, 104])
+    def test_stacked_pullback_keeps_the_worst_residual_of_the_loop(self, seed):
+        alpha, r = np.random.default_rng(seed).uniform([1e-3, 1e-3], [TWO_PI, 3.0], (500, 2)).T
+        worst = 0.0
+        for a, x in zip(alpha.tolist(), r.tolist()):
+            tr = omega_transform(a)
+            jac = tr.jacobian()
+            pulled = jac.T @ omega_metric_at(tr.omega, x / math.cosh(tr.beta)) @ jac
+            worst = max(worst, float(np.max(np.abs(pulled - metric_at(a, x)))))
+        tr = omega_transform(alpha)
+        jac = tr.jacobian()
+        pulled = np.swapaxes(jac, -1, -2) @ omega_metric_at(tr.omega, r / jac[:, 0, 0]) @ jac
+        assert float(np.max(np.abs(pulled - metric_at(alpha, r)))) == worst
+
+
 class TestCircumference:
     def test_massive(self):
         assert circle_circumference(1.5, 2.0) == 3.0
@@ -161,6 +207,25 @@ class TestCircumference:
     pytest.param(lambda: omega_metric_at(0.5, -1.0), "negative radius", id="omega-metric-r"),
     pytest.param(lambda: circle_circumference(math.pi, -1.0), "negative radius",
                  id="circumference-r"),
+    pytest.param(lambda: metric_at(0.0, math.nan), "radius must be finite", id="metric-nan-r"),
+    pytest.param(lambda: metric_at(1.0, [1.0, math.inf]), "radius must be finite",
+                 id="metric-inf-r-entry"),
+    pytest.param(lambda: metric_at(np.array([0.0, math.nan]), 1.0), "invalid cone angle",
+                 id="metric-nan-angle-entry"),
+    pytest.param(lambda: chart_form(np.array([0.0, 7.0])), "invalid cone angle",
+                 id="chart-form-angle-entry"),
+    pytest.param(lambda: omega_metric_at(math.nan, 1.0), "omega must lie in [-1, 1]",
+                 id="omega-metric-nan"),
+    pytest.param(lambda: omega_metric_at(np.array([0.5, math.inf]), 1.0),
+                 "omega must lie in [-1, 1]", id="omega-metric-inf-entry"),
+    pytest.param(lambda: omega_metric_at(np.array([0.5, -1.5]), 1.0),
+                 "omega must lie in [-1, 1]", id="omega-metric-large-entry"),
+    pytest.param(lambda: omega_metric_at(0.5, -math.inf), "radius must be finite",
+                 id="omega-metric-inf-r"),
+    pytest.param(lambda: omega_transform(np.array([1.0, 0.0])), "alpha = 0 is the omega = 1",
+                 id="omega-transform-extremal-entry"),
+    pytest.param(lambda: omega_transform(np.array([1.0, -math.inf])), "invalid cone angle",
+                 id="omega-transform-inf-entry"),
 ])
 def test_input_guards(call, fragment):
     with pytest.raises(ValueError) as err:

@@ -39,7 +39,7 @@ def test_wrong_extremal_chart_form_fails_the_metric_checks(monkeypatch):
 
     def wrong(alpha):
         c_tt, c_tr, s = form(alpha)
-        return (c_tt, -1.9, s) if alpha == 0.0 else (c_tt, c_tr, s)
+        return c_tt, np.where(np.asarray(alpha) == 0.0, -1.9, c_tr)[()], s
 
     for module in (models, causal, surfaces, cli):
         monkeypatch.setattr(module, "chart_form", wrong)
@@ -47,6 +47,30 @@ def test_wrong_extremal_chart_form_fails_the_metric_checks(monkeypatch):
     assert {"btz_pullback_exact", "btz_pullback_fd"} <= _failed(verify.suite_develop(7))
     with pytest.raises(AssertionError, match="criterion 04"):
         test_acceptance.test_criterion_04_omega_family()
+
+
+def test_skewed_omega_fails_the_pullback_checks(monkeypatch):
+    # the chart map lands on the slice omega (1 - 1e-6), not on tanh(beta)
+    transform = models.omega_transform
+
+    def skewed(alpha):
+        tr = transform(alpha)
+        return dataclasses.replace(tr, omega=tr.omega * (1.0 - 1e-6))
+
+    monkeypatch.setattr(verify, "omega_transform", skewed)
+    monkeypatch.setattr(test_acceptance, "omega_transform", skewed)
+    assert "omega_pullback" in _failed(verify.suite_models(7))
+    with pytest.raises(AssertionError, match="criterion 04"):
+        test_acceptance.test_criterion_04_omega_family()
+
+
+def test_grid_without_the_two_step_edge_fails_the_causal_checks(monkeypatch):
+    # one radial step per slice is timelike: the null boundary of J+ is lost
+    monkeypatch.setattr(causal, "_RADIAL_STEPS", (0, 1))
+    (check,) = [c for c in verify.suite_causal(7) if c.name == "grid_vs_closed_form"]
+    assert check.residual == 729.0
+    with pytest.raises(AssertionError, match="criterion 08"):
+        test_acceptance.test_criterion_08_causal_structure()
 
 
 def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):
