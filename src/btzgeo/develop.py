@@ -176,9 +176,9 @@ class RescaleReport:
 
     The pullback of the extremal metric under this map has angular
     coefficient lam^2 r^2 instead of r^2, so the map is an isometry of the
-    tube exactly when |lam| = 1.  ``max_residual`` is the largest entrywise
-    deviation of the pulled-back metric from the extremal one over the
-    sampled radii.
+    tube exactly when |lam| = 1.  ``max_residual`` is |lam^2 - 1|, the largest
+    entrywise deviation |lam^2 - 1| r^2 of the pulled-back metric from the
+    extremal one on the unit tube, reached at r = 1.
     """
 
     lam: float
@@ -188,11 +188,7 @@ class RescaleReport:
 
 
 def rescale_btz(lam) -> RescaleReport:
-    """Report on the angular rescaling of the extremal tube by ``lam``.
-
-    The map scales g_thth = r^2 by lam^2, so its residual |lam^2 - 1| r^2 on
-    the unit tube is largest at r = 1: ``max_residual`` is |lam^2 - 1|.
-    """
+    """Report on the angular rescaling of the extremal tube by ``lam``."""
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam * lam):
         raise ValueError(f"rescaling factor must be nonzero with a finite square, got {lam!r}")

@@ -44,6 +44,7 @@ line is null exactly when c_tt = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +63,20 @@ def is_valid_cone_angle(alpha):
 
 def is_singular(alpha) -> bool:
     """True when r = 0 is a genuine singular line (alpha != 2pi)."""
-    _check_angle(alpha)
+    _check_one_angle(alpha)
     return alpha == 0.0 or abs(alpha - TWO_PI) > _ANGLE_TOL
 
 
 def _check_angle(alpha):
-    ok = is_valid_cone_angle(alpha)
-    if not (ok is True or np.all(ok)):  # a valid float skips np.all's microseconds
+    if not np.all(is_valid_cone_angle(alpha)):
         raise ValueError(f"invalid cone angle {alpha!r}: expected 0 or (0, 2pi]")
+
+
+def _check_one_angle(alpha):
+    # the tube dataclasses, is_singular and circle_circumference take one angle
+    if not isinstance(alpha, numbers.Real):
+        raise TypeError(f"expected one cone angle, got {alpha!r}")
+    _check_angle(alpha)
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ class ModelPoint:
     theta: float
 
     def __post_init__(self):
-        _check_angle(self.angle)
+        _check_one_angle(self.angle)
         if not all(map(math.isfinite, (self.time, self.r, self.theta))):
             raise ValueError(f"non-finite coordinate in {self!r}")
         if self.r < 0.0:
@@ -108,7 +115,7 @@ class TubeRegion:
     t_max: float
 
     def __post_init__(self):
-        _check_angle(self.angle)
+        _check_one_angle(self.angle)
         if not all(map(math.isfinite, (self.radius, self.t_min, self.t_max))):
             raise ValueError(f"non-finite field in {self!r}")
         if not self.radius > 0.0:
@@ -251,7 +258,7 @@ def circle_circumference(alpha, r0) -> float:
     the extremal tube keeps the undeformed angular part g_thth = r^2, so its
     circles have length 2pi * r0.
     """
-    _check_angle(alpha)
+    _check_one_angle(alpha)
     if r0 < 0.0:
         raise ValueError("negative radius")
     if alpha == 0.0:

@@ -231,3 +231,17 @@ def test_input_guards(call, fragment):
     with pytest.raises(ValueError) as err:
         call()
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ModelPoint(np.array([0.0, 1.0]), 1.0, 0.5, 0.1), id="point-angle-array"),
+    pytest.param(lambda: TubeRegion(np.array([0.0, 1.0]), 1.0, 0.0, 2.0),
+                 id="region-angle-array"),
+    pytest.param(lambda: is_singular(np.array([0.0, TWO_PI])), id="singular-angle-array"),
+    pytest.param(lambda: circle_circumference(np.array([0.0, 1.0]), 1.0),
+                 id="circumference-angle-array"),
+])
+def test_one_angle_callables_reject_arrays(call):
+    # these take one angle; an array would fail later as an ambiguous truth value
+    with pytest.raises(TypeError, match="expected one cone angle"):
+        call()
