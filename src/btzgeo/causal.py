@@ -33,10 +33,12 @@ and against breadth-first search over grid secants
 Volume time
 -----------
 The volume time ln mu(J-(p)) / mu(J+(p)) counts the points of a shared
-random pool in each cone of p.  Both counts come from one margin taken in
-p's frame, dt = tau - tau_p and dr = r - r_p: a pool point q lies in J+(p)
-by the relation above, and in J-(p) iff p lies in J+(q), which is the same
-inequality r_p r phi^2 <= dr (2 dt - dr) with dt < 0 and dr <= 0 (the
+random pool in each cone of p.  The cones are closed, so both hold p
+itself.  Both counts come from one margin taken in p's frame,
+dt = tau - tau_p and dr = r - r_p: a pool point q lies in J+(p) iff
+r_p r phi^2 <= dr (2 dt - dr) with dt >= 0 and dr >= 0 (the relation
+above, closed: at dt = 0 the margin leaves only q = p), and in J-(p) iff p
+lies in J+(q), which is the same inequality with dt <= 0 and dr <= 0 (the
 margin is even under (dt, dr) -> (-dt, -dr)).  A query on the line needs no
 case of its own: at r_p = 0 the inequality reads r (2 dt - r) >= 0, which is
 the exit relation dt >= r / 2.  Only pool points on the line are treated
@@ -478,8 +480,9 @@ def _count_members(tau, r, th, tp, rp, hp):
 
     Returns ``(past, future)`` from one margin taken in the query's frame
     (see the module docstring); the relation is applied exactly, without the
-    tolerance fence of :func:`btz_causal_future`.  :func:`_count_pool` runs
-    it on the bands of a sorted pool.
+    tolerance fence of :func:`btz_causal_future`.  Both cones are closed: a
+    pool point equal to p counts in each, for a query on the line or off it.
+    :func:`_count_pool` runs it on the bands of a sorted pool.
     """
     # the angular term first: its temporaries are gone before dt and dr exist
     angular = rp * r * _wrap_pi(th - hp) ** 2
@@ -487,9 +490,9 @@ def _count_members(tau, r, th, tp, rp, hp):
     dr = r - rp
     on_line = r == 0.0
     reach = ~on_line & (angular <= dr * (2.0 * dt - dr))
-    past = reach & (dt < 0.0) & (dr <= 0.0)
+    past = reach & (dt <= 0.0) & (dr <= 0.0)
     past |= on_line & (dt <= -0.5 * rp)
-    future = reach & (dt > 0.0) & (dr >= 0.0)
+    future = reach & (dt >= 0.0) & (dr >= 0.0)
     future |= on_line & (dt >= 0.0) & (rp == 0.0)
     return int(np.count_nonzero(past)), int(np.count_nonzero(future))
 
@@ -547,9 +550,10 @@ def volume_time_report(
     """Estimate the volume time at a point of an extremal tube region.
 
     Membership uses the causal-closure relation (J+/J-); the 3d parts of J
-    and I differ by a measure-zero set, and the closure convention gives the
-    line stratum of a point on the line its full past ray.  Raises
-    :class:`DegenerateMeasureError` when either side has zero measure.
+    and I differ by a measure-zero set, and the closure convention puts p in
+    both cones and gives the line stratum of a point on the line its full
+    past ray.  Raises :class:`DegenerateMeasureError` when either side has
+    zero measure.
     """
     if region.angle != 0.0:
         raise ValueError("volume time is defined on extremal tube regions")

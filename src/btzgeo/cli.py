@@ -164,12 +164,15 @@ def _boundary_from_data(data):
 
 
 def _surface_to_file(surface, path, n_r=128, n_theta=128):
-    """Sample a surface to JSON: header fields plus (r, theta, tau) rows."""
-    if surface.r_inner <= 0.0 and surface.punctured:
+    """Sample a surface to JSON: header fields plus (r, theta, tau) rows.
+
+    Radii are geometric from radius * 1e-4 on a punctured surface and uniform
+    from r_inner otherwise, so a disc is written from r = 0 and reloads as one.
+    """
+    if surface.punctured:
         rs = np.geomspace(surface.radius * 1.0e-4, surface.radius, n_r)
     else:
-        lo = surface.r_inner if surface.r_inner > 0.0 else surface.radius * 1.0e-4
-        rs = np.linspace(lo, surface.radius, n_r)
+        rs = np.linspace(surface.r_inner, surface.radius, n_r)
     ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     tau = np.broadcast_to(
         surface.tau(rs[:, None], ths[None, :]), (n_r, n_theta)
@@ -190,10 +193,13 @@ def _surface_to_file(surface, path, n_r=128, n_theta=128):
 def _surface_from_data(data) -> GraphSurface:
     n_r, n_theta = data["grid_shape"]
     rows = np.asarray(data["grid"], dtype=float).reshape(n_r, n_theta, 3)
+    rs, ths = rows[:, :1, 0], rows[:1, :, 1]
+    if np.any(rows[:, :, 0] != rs) or np.any(rows[:, :, 1] != ths):
+        raise ValueError("grid rows are not the tensor grid of their r and theta")
     return GraphSurface.from_grid(
         data["alpha"],
-        rows[:, 0, 0],
-        rows[0, :, 1],
+        rs[:, 0],
+        ths[0],
         rows[:, :, 2],
         punctured=data["punctured"],
         params=data.get("params"),

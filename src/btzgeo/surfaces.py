@@ -56,17 +56,19 @@ _CAP_MAX_DOUBLINGS = 60
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """A smooth 2 pi periodic height trace with its derivative."""
+    """A smooth 2 pi periodic height trace and its derivative: two callables of angles."""
 
     value: callable
     derivative: callable
 
     @staticmethod
     def from_trig(constant=0.0, cos_coeffs=(), sin_coeffs=()):
-        """Trigonometric polynomial sum_k (c_k cos k th + s_k sin k th)."""
+        """Trigonometric polynomial sum_k (c_k cos k th + s_k sin k th), finite c_k, s_k."""
         cos_coeffs = tuple(float(c) for c in cos_coeffs)
         sin_coeffs = tuple(float(s) for s in sin_coeffs)
         constant = float(constant)
+        if not all(map(math.isfinite, (constant, *cos_coeffs, *sin_coeffs))):
+            raise ValueError("trig coefficients must be finite")
 
         def value(th):
             th = np.asarray(th, dtype=float)
@@ -87,10 +89,6 @@ class BoundaryCurve:
             return out
 
         return BoundaryCurve(value=value, derivative=derivative)
-
-    def max_derivative_sq(self) -> float:
-        th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        return float(np.max(self.derivative(th) ** 2))
 
 
 # =========================================================================
@@ -161,10 +159,11 @@ class GraphSurface:
     ) -> "GraphSurface":
         """Sampled surface, bilinear between nodes; partials by finite differences.
 
-        ``r_nodes`` are positive and increasing, ``theta_nodes`` uniform on
-        [0, 2 pi) from 0 and closed by 2 pi (theta is taken mod 2 pi).  On each
-        axis the cell is i = clip(searchsorted(nodes, x, side="right") - 1, 0,
-        n - 2) with y = (x - nodes[i]) / (nodes[i+1] - nodes[i]); the value
+        ``r_nodes`` increase from r > 0 (from r >= 0 unless punctured),
+        ``theta_nodes`` are uniform on [0, 2 pi) from 0 and closed by 2 pi
+        (theta is taken mod 2 pi).  On each axis the cell is i =
+        clip(searchsorted(nodes, x, side="right") - 1, 0, n - 2) with
+        y = (x - nodes[i]) / (nodes[i+1] - nodes[i]); the value
         v[i,j](1-y0)(1-y1) + v[i,j+1](1-y0)y1 + v[i+1,j]y0(1-y1) + v[i+1,j+1]y0y1
         is added left to right; radii outside the nodes extrapolate the edge cell.
         """
@@ -173,8 +172,9 @@ class GraphSurface:
         values = np.asarray(values, dtype=float)
         if values.shape != (r_nodes.size, theta_nodes.size):
             raise ValueError("values must be shaped (n_r, n_theta)")
-        if not (r_nodes[0] > 0.0 and np.all(np.diff(r_nodes) > 0.0)):
-            raise ValueError("r_nodes must be positive and increasing")
+        r_first_ok = r_nodes[0] > 0.0 or (r_nodes[0] == 0.0 and not punctured)
+        if not (r_first_ok and np.all(np.diff(r_nodes) > 0.0)):
+            raise ValueError("r_nodes must be positive and increasing (0 starts a disc)")
         h_th = TWO_PI / theta_nodes.size
         if theta_nodes[0] != 0.0 or not np.all(abs(np.diff(theta_nodes) - h_th) <= 1e-12):
             raise ValueError("theta_nodes must be uniform over [0, 2 pi) from 0")
@@ -277,25 +277,17 @@ def induced_metric(surface: GraphSurface, r, th):
     return g
 
 
-def _certification_grid(surface: GraphSurface, n_r, n_theta):
-    if surface.r_inner == 0.0:
-        rs = np.geomspace(surface.radius * 1.0e-4, surface.radius, n_r)
-    else:
-        rs = np.linspace(surface.r_inner, surface.radius, n_r)
-    ths = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    return rs, ths
+def _r2_delta(rr2, f_r, f_th2, out):
+    """Extremal r^2 delta = r^2 (1 - 2 f_r) - f_th^2 into ``out`` (may be ``f_r``).
 
-
-def _min_delta(rr, f_r, f_th):
-    """(min delta, min r^2 delta) of extremal jets on an (n_r, n_theta) grid.
-
-    ``rr`` holds the positive grid radii as a column.  r^2 delta =
-    r^2 (1 - 2 f_r) - f_th^2 is formed first and then divided by r^2: certified
-    cap constants are computed in this order (:func:`_cap_min_delta`), which
-    rounds differently from :func:`delta_field`.
-    """
-    r2delta = rr**2 * (1.0 - 2.0 * f_r) - f_th**2
-    return float((r2delta / rr**2).min()), float(r2delta.min())
+    Every extremal slack scan and cap step takes it from here, in this order;
+    certified cap constants depend on these bits, which round differently
+    from :func:`delta_field`."""
+    np.multiply(2.0, f_r, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(rr2, out, out=out)
+    np.subtract(out, f_th2, out=out)
+    return out
 
 
 def min_spacelike_slack(surface: GraphSurface, n_r=256, n_theta=256):
@@ -303,15 +295,22 @@ def min_spacelike_slack(surface: GraphSurface, n_r=256, n_theta=256):
 
     For surfaces reaching r = 0 the radial grid is geometric down to
     radius * 1e-4, probing the end; otherwise it is uniform on the domain.
+    Extremal minima come from :func:`_r2_delta`, divided by r^2 for delta.
     """
-    rs, ths = _certification_grid(surface, n_r, n_theta)
+    if surface.r_inner == 0.0:
+        rs = np.geomspace(surface.radius * 1.0e-4, surface.radius, n_r)
+    else:
+        rs = np.linspace(surface.r_inner, surface.radius, n_r)
     rr = rs[:, None]
-    tt = ths[None, :]
-    if surface.alpha == 0.0:
-        return _min_delta(rr, surface.tau_r(rr, tt), surface.tau_theta(rr, tt))
-    slack = delta_field(surface)(rr, tt)
-    m = float(np.min(slack))
-    return m, float(np.min(rr**2 * slack))
+    tt = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)[None, :]
+    if surface.alpha != 0.0:
+        slack = delta_field(surface)(rr, tt)
+        return float(np.min(slack)), float(np.min(rr**2 * slack))
+    rr2 = rr**2
+    f_r, f_th2 = surface.tau_r(rr, tt), surface.tau_theta(rr, tt) ** 2
+    out = np.empty(np.broadcast_shapes(rr2.shape, np.shape(f_r), np.shape(f_th2)))
+    min_r2 = float(_r2_delta(rr2, f_r, f_th2, out).min())
+    return float(np.divide(out, rr2, out=out).min()), min_r2
 
 
 def is_spacelike(surface: GraphSurface, n_r=256, n_theta=256) -> bool:
@@ -384,12 +383,14 @@ def extend_boundary_complete(boundary: BoundaryCurve, radius) -> GraphSurface:
 
     The field is tau = b(theta) + M (1/r - 1/radius) with
     M = 1 + max b'^2, giving r^2 delta = r^2 + 2M - b'(theta)^2 >= 2 on the
-    whole punctured domain; the boundary trace is matched exactly.
+    whole punctured domain (max b'^2 over 4096 angles); the boundary trace is
+    matched exactly.  ``ValueError`` unless the radius is finite and positive.
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    slope = 1.0 + boundary.max_derivative_sq()
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
+    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+    slope = 1.0 + float(np.max(boundary.derivative(th) ** 2))
 
     def tau(r, th):
         return boundary.value(th) + slope * (1.0 / r - 1.0 / radius)
@@ -406,17 +407,11 @@ def extend_boundary_complete(boundary: BoundaryCurve, radius) -> GraphSurface:
 
 
 def _cap_min_delta(m, rr2, p, f_th2, out):
-    """Min delta on the cap grid at slope constant ``m``, written into ``out``.
-
-    With the M-free grids ``p`` = blend_d(r) b(theta) and ``f_th2`` =
-    (blend(r) b'(theta))^2 and the column ``rr2`` = r^2, this is the
-    arithmetic of :func:`_min_delta` on f_r = p - m / r^2, in the same order.
-    """
+    """Min delta on the cap grid at slope constant ``m``, written into ``out``:
+    :func:`_r2_delta` at f_r = p - m / r^2 over r^2, from the M-free grids ``p`` =
+    blend_d(r) b(theta) and ``f_th2`` = (blend(r) b'(theta))^2, ``rr2`` = r^2."""
     np.subtract(p, m / rr2, out=out)
-    np.multiply(2.0, out, out=out)
-    np.subtract(1.0, out, out=out)
-    np.multiply(rr2, out, out=out)
-    np.subtract(out, f_th2, out=out)
+    _r2_delta(rr2, out, f_th2, out)
     np.divide(out, rr2, out=out)
     return float(out.min())
 
@@ -426,17 +421,14 @@ def _predicted_doublings(rr2, p, f_th2, out):
 
     r^2 delta = r^2 (1 - 2 p) + 2M - f_th^2 is linear in M, so the floor
     delta > _CAP_DELTA_FLOOR holds at a node once M exceeds
-    (f_th^2 - r^2 (1 - 2 p) + _CAP_DELTA_FLOOR r^2) / 2; M* is the largest of
-    these over the grid.  Rounding can put the answer one doubling off and a
-    non-finite M* gives the last doubling; :func:`extend_boundary_cap` checks
-    the predicate exactly, so this only decides where the search starts.
+    (_CAP_DELTA_FLOOR r^2 - :func:`_r2_delta` at f_r = p) / 2; M* is the
+    largest of these over the grid.  Rounding can put the answer one doubling
+    off and a non-finite M* gives the last doubling; :func:`extend_boundary_cap`
+    checks the predicate exactly, so this only decides where the search starts.
     """
     with np.errstate(all="ignore"):  # a prediction must not raise under the caller's errstate
-        np.multiply(2.0, p, out=out)
-        np.subtract(1.0, out, out=out)
-        np.multiply(rr2, out, out=out)
-        np.subtract(f_th2, out, out=out)
-        np.add(out, _CAP_DELTA_FLOOR * rr2, out=out)
+        _r2_delta(rr2, p, f_th2, out)
+        np.subtract(_CAP_DELTA_FLOOR * rr2, out, out=out)
         m_star = 0.5 * float(out.max())
     if not math.isfinite(m_star):
         return _CAP_MAX_DOUBLINGS
@@ -459,7 +451,7 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
     whose spacelike slack sampled on a ``_CAP_GRID`` x ``_CAP_GRID`` grid of
     [R/2, R] x [0, 2 pi) exceeds ``_CAP_DELTA_FLOOR`` = 1e-9 (the inner part
     is flat, delta = 1); :class:`CertificationError` is raised when 2^60
-    fails too.
+    fails too, and ``ValueError`` unless the radius is finite and positive.
 
     The search uses that r^2 delta = 2M + g(r, theta) with g free of M.  The
     grids of blend_d(r) b(theta) and f_th^2 are built once (the trace and its
@@ -480,31 +472,14 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
     decides only how many grid passes are made, never the result.
     """
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
 
     def blend(r):
         return ((2.0 * r - radius) / radius) ** 2
 
     def blend_d(r):
         return 4.0 * (2.0 * r - radius) / radius**2
-
-    def make_fields(m):
-        # outer branches at max(r, R/2): np.where drops them inside, where r = 0 would divide
-        def tau(r, th):
-            ro = np.maximum(r, 0.5 * radius)
-            outer = blend(ro) * boundary.value(th) + m * (1.0 / ro - 1.0 / radius)
-            return np.where(r >= 0.5 * radius, outer, m / radius)
-
-        def tau_r(r, th):
-            ro = np.maximum(r, 0.5 * radius)
-            outer = blend_d(ro) * boundary.value(th) - m / ro**2
-            return np.where(r >= 0.5 * radius, outer, 0.0)
-
-        def tau_th(r, th):
-            return np.where(r >= 0.5 * radius, blend(r) * boundary.derivative(th), 0.0)
-
-        return tau, tau_r, tau_th
 
     # every grid radius is >= R/2, where tau_r and tau_th take their outer branch
     rr = np.linspace(0.5 * radius, radius, _CAP_GRID)[:, None]
@@ -530,7 +505,21 @@ def extend_boundary_cap(boundary: BoundaryCurve, radius) -> GraphSurface:
         k += 1
         min_delta = min_delta_at(k)
     m = math.ldexp(1.0, k)
-    tau, tau_r, tau_th = make_fields(m)
+
+    # outer branches at max(r, R/2): np.where drops them inside, where r = 0 would divide
+    def tau(r, th):
+        ro = np.maximum(r, 0.5 * radius)
+        outer = blend(ro) * boundary.value(th) + m * (1.0 / ro - 1.0 / radius)
+        return np.where(r >= 0.5 * radius, outer, m / radius)
+
+    def tau_r(r, th):
+        ro = np.maximum(r, 0.5 * radius)
+        outer = blend_d(ro) * boundary.value(th) - m / ro**2
+        return np.where(r >= 0.5 * radius, outer, 0.0)
+
+    def tau_th(r, th):
+        return np.where(r >= 0.5 * radius, blend(r) * boundary.derivative(th), 0.0)
+
     return GraphSurface.from_functions(
         0.0, radius, tau, tau_r, tau_th, punctured=False,
         params={"cap_constant": m, "certified_min_delta": min_delta},

@@ -556,6 +556,20 @@ class TestCountMembers:
             for tau, r, th in pools:
                 assert _count_members(tau, r, th, *q) == self.scalar_counts(tau, r, th, q)
 
+    def test_query_point_is_in_both_cones(self):
+        # J-(p) and J+(p) are closed: a pool point equal to the query counts in
+        # both, for a query on the line and off it, as the classifier says
+        region = TubeRegion(0.0, 2.0, -1.0, 2.0)
+        rng = np.random.default_rng(36)
+        for q in self.PLANTED_QUERIES:
+            own = np.array([q], dtype=float).T
+            assert _count_members(*own, *q) == (1, 1) == self.scalar_counts(*own, q)
+            tau, r, th = np.concatenate([self.random_pool(rng, 400), own], axis=1)
+            counts = self.scalar_counts(tau, r, th, q)
+            assert _count_members(tau, r, th, *q) == counts
+            pool = TestSortedPool.sorted_pool(region, tau, r, th)
+            assert _count_pool(pool, *q) == counts
+
     def test_golden_counts(self):
         # raw (past, future) pool hits behind perfbench's volume_time digest
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)

@@ -222,6 +222,44 @@ class TestSurfaceCommands:
         assert report["spacelike"] is True
         assert "completeness_certificate" not in report
 
+    def test_cap_file_still_crosses_the_line(self, capsys, tmp_path):
+        # the cap is a disc through r = 0 and must reload as one, not as an
+        # annulus from its first sampled radius
+        boundary = tmp_path / "flat.json"
+        boundary.write_text("{}")
+        cap_file = tmp_path / "cap.json"
+        code, _ = run_json(
+            capsys,
+            ["surface", "cap", "--boundary", str(boundary), "--R", "1", "--out", str(cap_file)],
+        )
+        assert code == 0
+        zero = lambda r, th: np.zeros(np.broadcast(r, th).shape)
+        ring_file = tmp_path / "ring.json"
+        ring = GraphSurface.from_functions(0.0, 2.0, zero, zero, zero, r_inner=1.0)
+        cli._surface_to_file(ring, ring_file, n_r=16, n_theta=16)
+        code, report = run_json(
+            capsys,
+            ["surface", "assemble", "--outer", str(ring_file), "--inner", str(cap_file)],
+        )
+        assert report["crosses_line"] is True
+        assert code == 0 and report["spacelike"] is True
+
+    @pytest.mark.parametrize("cell, column, value", [((5, 7), 0, 123.0), ((9, 3), 1, -50.0)])
+    def test_check_rejects_grid_off_the_tensor_grid(self, capsys, tmp_path, cell, column, value):
+        # every row's r and theta must be its grid node's, not only the
+        # first column's radii and the first row's angles
+        zero = lambda r, th: np.zeros(np.broadcast(r, th).shape)
+        disc = GraphSurface.from_functions(0.0, 1.0, zero, zero, zero)
+        surf_file = tmp_path / "disc.json"
+        cli._surface_to_file(disc, surf_file, n_r=16, n_theta=16)
+        data = json.loads(surf_file.read_text())
+        data["grid"][16 * cell[0] + cell[1]][column] = value
+        surf_file.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["surface", "check", "--surface", str(surf_file)])
+        assert exc.value.code == 2
+        assert "cannot load" in capsys.readouterr().err
+
     def test_check_rejects_theta_nodes_off_zero(self, capsys, tmp_path):
         zero = lambda r, th: np.zeros(np.broadcast(r, th).shape)
         disc = GraphSurface.from_functions(0.0, 1.0, zero, zero, zero)

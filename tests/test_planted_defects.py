@@ -49,6 +49,32 @@ def test_wrong_extremal_chart_form_fails_the_metric_checks(monkeypatch):
         test_acceptance.test_criterion_04_omega_family()
 
 
+def test_flipped_slack_sign_fails_the_delta_checks(monkeypatch):
+    # delta_field with the sign of c_tr flipped: 1 + 2 f_r - ... in the
+    # extremal ambient, unchanged in a massive one (c_tr = 0)
+    def flipped(surface):
+        c_tt, c_tr, s = models.chart_form(surface.alpha)
+
+        def slack(r, th):
+            r = np.asarray(r, dtype=float)
+            f_r, f_th = surface.tau_r(r, th), surface.tau_theta(r, th)
+            return 1.0 + f_r * (-c_tr + c_tt * f_r) - (f_th / (s * r)) ** 2
+
+        return slack
+
+    monkeypatch.setattr(surfaces, "delta_field", flipped)
+    monkeypatch.setattr(test_acceptance, "delta_field", flipped)
+    failed = _failed(verify.suite_surfaces(7))
+    assert "cap_delta_formula" in failed
+    # the completeness certificate and the surgeries take r^2 delta from
+    # surfaces._r2_delta, not from delta_field, so they do not see this defect
+    assert "cap_certificate" not in failed and "complete_surgery_slack" not in failed
+    with pytest.raises(AssertionError, match="criterion 05"):
+        test_acceptance.test_criterion_05_delta_criterion()
+    with pytest.raises(AssertionError, match="criterion 07"):
+        test_acceptance.test_criterion_07_hyperbolic_cap_benchmark()
+
+
 def test_skewed_omega_fails_the_pullback_checks(monkeypatch):
     # the chart map lands on the slice omega (1 - 1e-6), not on tanh(beta)
     transform = models.omega_transform

@@ -15,8 +15,8 @@ from btzgeo.surfaces import (
     _CAP_GRID,
     _CAP_MAX_DOUBLINGS,
     BoundaryCurve,
-    _min_delta,
     GraphSurface,
+    _r2_delta,
     assemble_cauchy,
     completeness_certificate,
     delta_field,
@@ -260,6 +260,16 @@ class TestCapSurgery:
             extend_boundary_cap(b, 1.0)
 
 
+def reference_min_delta(rr, f_r, f_th):
+    """(min delta, min r^2 delta) of extremal jets, as one expression.
+
+    The arithmetic that :func:`btzgeo.surfaces._r2_delta` performs in place:
+    r^2 delta = r^2 (1 - 2 f_r) - f_th^2, then divided by r^2.
+    """
+    r2delta = rr**2 * (1.0 - 2.0 * f_r) - f_th**2
+    return float((r2delta / rr**2).min()), float(r2delta.min())
+
+
 def doubling_loop_cap(boundary, radius):
     """The cap search as a loop over M = 1, 2, 4, ...: (cap_constant, min delta).
 
@@ -274,7 +284,7 @@ def doubling_loop_cap(boundary, radius):
     for _ in range(_CAP_MAX_DOUBLINGS + 1):
         f_r = blend_d * boundary.value(tt) - m / rr**2
         f_th = blend * boundary.derivative(tt)
-        min_delta, _ = _min_delta(rr, f_r, f_th)
+        min_delta, _ = reference_min_delta(rr, f_r, f_th)
         if min_delta > 1.0e-9:
             return m, min_delta
         m *= 2.0
@@ -354,6 +364,18 @@ class TestCapSearch:
         assert assert_same_cap(b) == 32.0
         steps = range(start, 6) if start < 5 else range(start, 3, -1)
         assert passes == [2.0**k for k in steps]
+
+    def test_wrapped_callables_give_the_same_bits(self):
+        # a curve rebuilt from its two callables, as a traced benchmark run
+        # builds every boundary, must certify the same constants bit for bit
+        def constants(b):
+            comp, cap = extend_boundary_complete(b, 1.0), extend_boundary_cap(b, 1.0)
+            slack = min_spacelike_slack(comp, n_r=256, n_theta=256)
+            values = (comp.params["slope"], *slack, *cap.params.values())
+            return [float(v).hex() for v in values]
+
+        for b in criterion_6_boundaries():
+            assert constants(counting_boundary(b)[0]) == constants(b)
 
     def test_nan_boundary_raises_like_the_loop(self):
         b = BoundaryCurve(
@@ -455,6 +477,12 @@ class TestGridSurfaces:
             assert got.shape == rr.shape
             assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64)), name
 
+    def test_disc_starts_at_zero(self):
+        # a surface that is not punctured may start at the line itself
+        surf = GraphSurface.from_grid(0.0, [0.0, 0.5, 1.0], _TH8, np.ones((3, 8)))
+        assert surf.r_inner == 0.0 and not surf.punctured
+        assert np.all(surf.tau(0.0, _TH8) == 1.0)
+
     def test_spacelike_scan(self):
         surf = flat_surface(radius=1.0)
         min_delta, min_r2 = min_spacelike_slack(surf, 64, 64)
@@ -463,20 +491,37 @@ class TestGridSurfaces:
 
 
 class TestMinDelta:
+    """The in-place kernel :func:`_r2_delta` against :func:`reference_min_delta`."""
+
+    @staticmethod
+    def kernel_min_delta(rr, f_r, f_th):
+        out = _r2_delta(rr**2, f_r, f_th**2, np.empty(np.broadcast(rr, f_r, f_th).shape))
+        return float((out / rr**2).min()), float(out.min())
+
     def test_known_values(self):
         r = np.array([[0.5], [1.0], [2.0]])
         f_r = np.zeros((3, 4))
         f_th = np.zeros((3, 4))
-        d, r2 = _min_delta(r, f_r, f_th)
-        assert d == 1.0
-        assert r2 == 0.25
+        assert self.kernel_min_delta(r, f_r, f_th) == reference_min_delta(r, f_r, f_th)
+        assert self.kernel_min_delta(r, f_r, f_th) == (1.0, 0.25)
 
     def test_negative_slack_detected(self):
         r = np.array([[1.0]])
         f_r = np.array([[0.9]])
         f_th = np.array([[0.0]])
-        d, r2 = _min_delta(r, f_r, f_th)
+        d, r2 = self.kernel_min_delta(r, f_r, f_th)
         assert d < 0.0 and r2 < 0.0
+
+    def test_same_bits_as_the_expression(self):
+        rng = np.random.default_rng(23)
+        rr = rng.uniform(0.01, 3.0, (64, 1))
+        f_r, f_th = rng.normal(size=(64, 48)), rng.normal(size=(1, 48))
+        want = rr**2 * (1.0 - 2.0 * f_r) - f_th**2
+        got = _r2_delta(rr**2, f_r, f_th**2, np.empty((64, 48)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # in place over f_r, as the cap predicate runs it
+        assert np.array_equal(_r2_delta(rr**2, f_r, f_th**2, f_r).view(np.int64),
+                              want.view(np.int64))
 
 
 class TestAssemble:
@@ -538,6 +583,7 @@ def _flat(alpha=0.0, radius=1.0, punctured=False, r_inner=0.0):
 
 
 _TH8 = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+_FLAT_TRACE = BoundaryCurve.from_trig()
 
 
 @pytest.mark.parametrize("call, fragment", [
@@ -547,10 +593,26 @@ _TH8 = np.linspace(0.0, TWO_PI, 8, endpoint=False)
                  id="surface-punctured-inner"),
     pytest.param(lambda: GraphSurface.from_grid(0.0, [0.5, 1.0], _TH8, np.zeros((3, 8))),
                  "shaped (n_r, n_theta)", id="grid-shape"),
-    pytest.param(lambda: GraphSurface.from_grid(0.0, [0.0, 1.0], _TH8, np.zeros((2, 8))),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [0.0, 1.0], _TH8, np.zeros((2, 8)),
+                                                punctured=True),
                  "r_nodes must be positive", id="grid-r-zero"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [-0.5, 0.5, 1.0], _TH8, np.zeros((3, 8))),
+                 "r_nodes must be positive", id="grid-disc-below-zero"),
     pytest.param(lambda: GraphSurface.from_grid(0.0, [1.0, 0.5], _TH8, np.zeros((2, 8))),
                  "r_nodes must be positive and increasing", id="grid-r-decreasing"),
+    pytest.param(lambda: BoundaryCurve.from_trig(0.0, [math.nan]),
+                 "coefficients must be finite", id="trig-nan"),
+    pytest.param(lambda: BoundaryCurve.from_trig(math.inf), "coefficients must be finite",
+                 id="trig-inf"),
+    pytest.param(lambda: BoundaryCurve.from_trig(0.0, [], [1.0, -math.inf]),
+                 "coefficients must be finite", id="trig-sin-inf"),
+    *(
+        pytest.param(lambda surgery=surgery, radius=radius: surgery(_FLAT_TRACE, radius),
+                     "radius must be finite and positive", id=f"{name}-radius-{radius}")
+        for name, surgery in (("complete", extend_boundary_complete),
+                              ("cap", extend_boundary_cap))
+        for radius in (math.inf, math.nan, 0.0, -1.0)
+    ),
     pytest.param(lambda: surface_length(hyperbolic_plane_surface(), [[0.5, 0.0]]),
                  "(n, 2) path", id="length-one-node"),
     pytest.param(lambda: surface_length(hyperbolic_plane_surface(), np.zeros((3, 3))),
