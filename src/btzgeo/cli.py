@@ -116,6 +116,14 @@ def _positive_int(text):
     return value
 
 
+def _grid_size(text):
+    """A surface file's nodes per axis: ``from_grid``'s radial derivative needs 3."""
+    value = _positive_int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(f"a surface file needs at least 3 nodes, got {text!r}")
+    return value
+
+
 def _out_path(text):
     path = Path(text)
     if not path.parent.is_dir():
@@ -649,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = _command(ssub, name, func, help, out="data")
         p.add_argument("--boundary", type=_boundary_file, default=_FLAT_BOUNDARY)
         p.add_argument("--R", type=_finite_float, default=1.0)
-        p.add_argument("--grid", type=_positive_int, default=None)
+        p.add_argument("--grid", type=_grid_size, default=None)
     p = _command(ssub, "assemble", _cmd_surface_assemble, "glue an outer ring to an inner disc")
     p.add_argument("--outer", type=_surface_file, required=True)
     p.add_argument("--inner", type=_surface_file, required=True)
@@ -662,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "strip the line, return a complete surface")
     p.add_argument("--chart", type=_chart_file, required=True)
     p.add_argument("--boundary", type=_boundary_file, default=None)
-    p.add_argument("--grid", type=_positive_int, default=None)
+    p.add_argument("--grid", type=_grid_size, default=None)
     p.add_argument("--surface-out", type=_out_path, default=None)
     p = _command(esub, "example-chain", _cmd_extend_chain, "nested extension chain report")
     p.add_argument("--n", type=_positive_int, default=1000)

@@ -20,10 +20,15 @@ Massive cone (angle alpha in (0, 2pi]).  With a = alpha / 2 pi,
     D(t, r, th) = (t,  r cos(a th),  r sin(a th)),
 
 and the deck generator is the rotation by alpha about the time axis.
+
+Every singular line obeys one holonomy rule, :func:`check_holonomy`: the class
+of the alpha-model's own deck generator (parabolic at 0, else the rotation by
+alpha, elliptic of that angle or, within ~3e-5 of 0 or 2 pi, the identity).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,6 +101,7 @@ def develop_btz_inverse(points):
     return out
 
 
+@functools.cache
 def btz_holonomy_generator() -> LorentzIsometry:
     """Deck transformation of the extremal tube for one full 2 pi turn.
 
@@ -106,7 +112,8 @@ def btz_holonomy_generator() -> LorentzIsometry:
          [    b^2/2, 1 - b^2/2, -b],
          [       -b,         b,  1]].
 
-    It satisfies D(tau, r, th + 2 pi) = gamma D(tau, r, th) exactly.
+    It satisfies D(tau, r, th + 2 pi) = gamma D(tau, r, th) exactly.  Built
+    once: every call returns the same (immutable) isometry.
     """
     b = TWO_PI
     h = 0.5 * b * b
@@ -246,34 +253,49 @@ def match_cone_charts(alpha, beta) -> bool:
     return abs(alpha - beta) <= _MATCH_TOL
 
 
+def _deck_generator(alpha) -> LorentzIsometry:
+    """The alpha-model's own deck generator: parabolic at 0, else the rotation by alpha."""
+    if not is_valid_cone_angle(alpha):
+        raise ValueError(f"invalid cone angle {alpha!r}")
+    return rotation_about_t_axis(alpha) if alpha else btz_holonomy_generator()
+
+
+def _describe(info) -> str:
+    trivial = " (trivial)" if info["kind"] == "identity" else ""
+    angle = f" of angle {info['angle']!r}" if "angle" in info else ""
+    return f"{info['kind']} holonomy{trivial}{angle}"
+
+
+def check_holonomy(alpha, g) -> None:
+    """Raise ``ValueError`` unless ``g`` has the class of the alpha-model's deck generator.
+
+    The generator is :func:`btz_holonomy_generator` at alpha = 0, else the
+    rotation by alpha, whose elliptic angle ``g`` must also match to 1e-9.
+    """
+    own = classify_isometry(_deck_generator(alpha))
+    info = classify_isometry(g)
+    angle_gap = abs(info.get("angle", 0.0) - own.get("angle", 0.0))
+    if info["kind"] != own["kind"] or angle_gap > _MATCH_TOL:
+        raise ValueError(f"cone angle {alpha!r} needs {_describe(own)}, got {_describe(info)}")
+
+
 def developing_report(alpha) -> dict:
     """Summary of the developing data for one model; used by the CLI.
 
-    For the extremal tube the holonomy generator matrix is included
-    explicitly (conventions for it differ in the literature; this package
-    pins the deck parameter to the full 2 pi period).
+    The generator is the model's own, as in :func:`check_holonomy`, with the
+    deck parameter pinned to the full 2 pi period (conventions differ in the
+    literature); the extremal report adds the fixed null direction.
     """
-    if not is_valid_cone_angle(alpha):
-        raise ValueError(f"invalid cone angle {alpha!r}")
-    if alpha == 0.0:
-        gamma = btz_holonomy_generator()
-        info = classify_isometry(gamma)
-        return {
-            "model": "extremal",
-            "holonomy_matrix": gamma.linear.tolist(),
-            "holonomy_class": info["kind"],
-            "trace": info["trace"],
-            "fixed_null_direction": fixed_null_direction(gamma).tolist(),
-        }
-    gamma = massive_holonomy_generator(alpha)
+    gamma = _deck_generator(alpha)
     info = classify_isometry(gamma)
-    out = {
-        "model": "massive",
-        "angle": float(alpha),
+    null = fixed_null_direction(gamma).tolist() if info["kind"] == "parabolic" else None
+    report = {
+        "model": "massive" if alpha else "extremal",
+        "angle": float(alpha) or None,
         "holonomy_matrix": gamma.linear.tolist(),
         "holonomy_class": info["kind"],
         "trace": info["trace"],
+        "holonomy_angle": info.get("angle"),
+        "fixed_null_direction": null,
     }
-    if "angle" in info:
-        out["holonomy_angle"] = info["angle"]
-    return out
+    return {key: value for key, value in report.items() if value is not None}

@@ -3,7 +3,8 @@
 A :class:`TubeChart` records a solid-tube chart of a flat spacetime: its
 cone angle, radial and time extent, whether the singular line itself is part
 of the chart, and the holonomy of the deck generator of its regular part.
-The holonomy class is tied to the angle: parabolic for the extremal tube,
+The holonomy must have the class of the model's own deck generator
+(:func:`btzgeo.develop.check_holonomy`): parabolic for the extremal tube,
 elliptic of the cone angle for massive cones, trivial for regular tubes.
 
 The two surgeries are inverse to one another: :func:`adjoin_btz` completes a
@@ -27,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .develop import btz_holonomy_generator, massive_holonomy_generator
+from .develop import btz_holonomy_generator, check_holonomy
 from .errors import NotBTZExtendableError
-from .lorentz import LorentzIsometry, classify_isometry
+from .lorentz import LorentzIsometry
 from .models import TWO_PI, ModelPoint, TubeRegion, is_singular
 from .surfaces import BoundaryCurve, extend_boundary_complete
-
-_ANGLE_TOL = 1.0e-9
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,8 @@ class TubeChart:
 
     Invariants enforced on construction: the angle, radius and time extent
     obey :class:`btzgeo.models.TubeRegion`'s rules, a chart containing its
-    singular line must have a singular angle, and the holonomy class must
-    match the angle (parabolic iff angle 0; for massive cones the class of
-    the cone's own rotation, elliptic of the cone angle unless the rotation
-    is too small to classify as anything but the identity; identity for
-    regular tubes).
+    singular line must have a singular angle, and the holonomy passes
+    :func:`btzgeo.develop.check_holonomy` at the chart's angle.
     """
 
     angle: float
@@ -60,29 +56,7 @@ class TubeChart:
         TubeRegion(self.angle, self.radius, self.t_min, self.t_max)
         if self.has_singular_line and not is_singular(self.angle):
             raise ValueError("regular tubes contain no singular line")
-        info = classify_isometry(self.holonomy)
-        if self.angle == 0.0:
-            if info["kind"] != "parabolic":
-                raise ValueError(
-                    f"extremal charts need parabolic holonomy, got {info['kind']}"
-                )
-        elif not is_singular(self.angle):
-            if info["kind"] != "identity":
-                raise ValueError(
-                    f"regular tubes need trivial holonomy, got {info['kind']}"
-                )
-        else:
-            # within ~3e-5 of 0 or 2 pi the cone's own rotation classifies as
-            # the identity, so the holonomy must match that class instead
-            generator = classify_isometry(massive_holonomy_generator(self.angle))
-            expected = min(self.angle % TWO_PI, TWO_PI - self.angle % TWO_PI)
-            if info["kind"] != generator["kind"] or (
-                info["kind"] == "elliptic" and abs(info["angle"] - expected) > _ANGLE_TOL
-            ):
-                raise ValueError(
-                    f"massive charts need {generator['kind']} holonomy of the cone "
-                    f"angle; got {info['kind']} ({info.get('angle')})"
-                )
+        check_holonomy(self.angle, self.holonomy)
 
 
 def extremal_chart(radius=1.0, t_min=-1.0, t_max=1.0, with_line=False) -> TubeChart:

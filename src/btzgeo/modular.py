@@ -32,13 +32,15 @@ satisfy the combinatorial curvature count with Euler characteristic 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .develop import check_holonomy
 from .errors import GluingMismatchError
-from .lorentz import LorentzIsometry, classify_isometry, minkowski_inner, q_form
+from .lorentz import LorentzIsometry, minkowski_inner, q_form
 
 S_MATRIX = np.array([[0.0, -1.0], [1.0, 0.0]])
 T_MATRIX = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -254,10 +256,10 @@ class SuspensionComplex:
 def build_complex() -> SuspensionComplex:
     """Assemble and verify the two-triangle suspension complex.
 
-    Every face pairing is checked on its edge endpoints
-    (:class:`GluingMismatchError` on failure), and for the massive edge
-    classes the elliptic rotation angle of the holonomy is checked against
-    the incident angle sum.
+    Every face pairing is checked on its edge endpoints, and every edge
+    class's holonomy by :func:`btzgeo.develop.check_holonomy` at the
+    incident angle sum (massive lines) or at angle 0 (the cusp); either
+    failure raises :class:`GluingMismatchError` naming the pairing or edge.
     """
     triangles = fundamental_triangles()
     gen = psl2z_generators()
@@ -282,18 +284,11 @@ def build_complex() -> SuspensionComplex:
 
     edge_classes = []
     for label, members, kind, word in _LINES:
-        info = classify_isometry(words[word])
-        angle = None
-        if kind == "massive":
-            angle = _angle_sum(hyperbolic_angle, vertices, members)
-            if info["kind"] != "elliptic" or abs(info["angle"] - angle) > _GLUING_TOL:
-                raise GluingMismatchError(
-                    f"edge {label}: angle sum {angle!r} does not match holonomy ({info})"
-                )
-        elif info["kind"] != "parabolic":
-            raise GluingMismatchError(
-                f"edge {label}: expected parabolic holonomy, got {info['kind']}"
-            )
+        angle = _angle_sum(hyperbolic_angle, vertices, members) if kind == "massive" else None
+        try:
+            check_holonomy(angle or 0.0, words[word])
+        except ValueError as err:
+            raise GluingMismatchError(f"edge {label}: {err}") from None
         edge_classes.append(EdgeClass(label, members, kind, angle, words[word], word))
     return SuspensionComplex(triangles, tuple(pairings), tuple(edge_classes))
 
@@ -391,10 +386,18 @@ def ray_intersection_count(surface: PolyhedralSurface, directions) -> int | np.n
 
 
 def sample_interior_rays(surface: PolyhedralSurface, n, seed=0) -> np.ndarray:
-    """Future directions through random interior points of the slice."""
+    """Future unit directions through n random points of the slice's convex hull.
+
+    Each point is uniform in a triangle of three slice corners drawn by area;
+    these triangles cover exactly the corners' hull, so a gap between the
+    slice's triangles is probed as well as their interiors.
+    """
+    corners = surface.coords.reshape(-1, 2)
+    tris = corners[list(itertools.combinations(range(len(corners)), 3))]
+    areas = np.abs(np.linalg.det(tris[:, 1:] - tris[:, :1]))
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet((1.0, 1.0, 1.0), size=n)
-    faces = rng.integers(0, 2, size=n)
-    pts = np.einsum("ni,nij->nj", weights, surface.coords[faces])
+    faces = rng.choice(len(tris), size=n, p=areas / areas.sum())
+    pts = np.einsum("ni,nij->nj", weights, tris[faces])
     dirs = np.concatenate([np.full((n, 1), surface.t0), pts], axis=1)
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -159,7 +159,8 @@ class GraphSurface:
     ) -> "GraphSurface":
         """Sampled surface, bilinear between nodes; partials by finite differences.
 
-        ``r_nodes`` increase from r > 0 (from r >= 0 unless punctured),
+        ``r_nodes`` are at least 3 (tau_r is a second-order difference) and
+        increase from r > 0 (from r >= 0 unless punctured),
         ``theta_nodes`` are uniform on [0, 2 pi) from 0 and closed by 2 pi
         (theta is taken mod 2 pi).  On each axis the cell is i =
         clip(searchsorted(nodes, x, side="right") - 1, 0, n - 2) with
@@ -175,6 +176,8 @@ class GraphSurface:
         r_first_ok = r_nodes[0] > 0.0 or (r_nodes[0] == 0.0 and not punctured)
         if not (r_first_ok and np.all(np.diff(r_nodes) > 0.0)):
             raise ValueError("r_nodes must be positive and increasing (0 starts a disc)")
+        if r_nodes.size < 3:
+            raise ValueError(f"need at least 3 radial nodes for tau_r, got {r_nodes.size}")
         h_th = TWO_PI / theta_nodes.size
         if theta_nodes[0] != 0.0 or not np.all(abs(np.diff(theta_nodes) - h_th) <= 1e-12):
             raise ValueError("theta_nodes must be uniform over [0, 2 pi) from 0")

@@ -563,6 +563,31 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("writer", [
+        ["surface", "extend", "--out"], ["surface", "cap", "--out"],
+        ["extend", "remove", "--surface-out"],
+    ])
+    def test_surface_files_need_three_nodes(self, tmp_path, capsys, writer):
+        # from_grid's second-order radial difference needs three nodes, so a
+        # coarser file could be written but not read back
+        chart = write_chart(tmp_path / "chart.json", 0.0, True, btz_holonomy_generator())
+        extra = ["--chart", str(chart)] if writer[0] == "extend" else []
+        for grid in ("1", "2"):
+            out = tmp_path / f"grid{grid}.json"
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*writer, str(out), *extra, "--grid", grid])
+            assert exc.value.code == 2
+            assert "at least 3 nodes" in capsys.readouterr().err
+            assert not out.exists()
+        out = tmp_path / "grid3.json"
+        assert cli.main([*writer, str(out), *extra, "--grid", "3"]) == 0
+        assert json.loads(out.read_text())["grid_shape"] == [3, 3]
+        capsys.readouterr()
+        # three nodes read back; so coarse a sample is judged on its own
+        # bilinear surface, which need not be spacelike (exit 1, not 2)
+        code, report = run_json(capsys, ["surface", "check", "--surface", str(out)])
+        assert code in (0, 1) and math.isfinite(report["min_delta"])
+
     def test_missing_curve_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["causal", "check", "--curve", str(tmp_path / "absent.csv")])

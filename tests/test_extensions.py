@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btzgeo.develop import btz_holonomy_generator, massive_holonomy_generator
+from btzgeo.develop import boost_conjugate, btz_holonomy_generator, massive_holonomy_generator
 from btzgeo.errors import NotBTZExtendableError
 from btzgeo.extensions import (
     CHAIN_STAGES,
@@ -18,8 +18,9 @@ from btzgeo.extensions import (
     remove_btz,
     sample_chain_monotone,
 )
-from btzgeo.lorentz import LorentzIsometry, rotation_about_t_axis
-from btzgeo.models import TWO_PI, ModelPoint, is_singular
+from btzgeo.lorentz import LorentzIsometry, boost_tx, classify_isometry, rotation_about_t_axis
+from btzgeo.models import TWO_PI, ModelPoint, TubeRegion, is_singular
+from btzgeo.modular import psl2z_generators
 from btzgeo.surfaces import BoundaryCurve, completeness_certificate
 
 
@@ -112,6 +113,84 @@ class TestTubeChartInvariants:
         # the elliptic class only sees the rotation angle mod sign, so the
         # deck generator of a 5.0-cone classifies as 2 pi - 5.0
         massive_chart(5.0)
+
+
+def three_branch_reference(angle, radius, t_min, t_max, has_line, holonomy):
+    """The chart invariants as three branches, one per kind of tube.
+
+    The rule that ``TubeChart`` applied before it took the class from
+    ``develop.check_holonomy``; kept as the reference for the one rule.
+    """
+    TubeRegion(angle, radius, t_min, t_max)
+    if has_line and not is_singular(angle):
+        raise ValueError("regular tubes contain no singular line")
+    info = classify_isometry(holonomy)
+    if angle == 0.0:
+        if info["kind"] != "parabolic":
+            raise ValueError("extremal charts need parabolic holonomy")
+    elif not is_singular(angle):
+        if info["kind"] != "identity":
+            raise ValueError("regular tubes need trivial holonomy")
+    else:
+        generator = classify_isometry(massive_holonomy_generator(angle))
+        expected = min(angle % TWO_PI, TWO_PI - angle % TWO_PI)
+        if info["kind"] != generator["kind"] or (
+            info["kind"] == "elliptic" and abs(info["angle"] - expected) > 1.0e-9
+        ):
+            raise ValueError("massive charts need the holonomy of the cone angle")
+
+
+def _accepts(build, *args):
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestOneHolonomyRule:
+    NAMED_ANGLES = [
+        0.0, 1e-6, 3e-5, 4e-5, math.pi, TWO_PI - 5e-10, TWO_PI - 5e-13, TWO_PI,
+        0.5, 1.3, math.pi / 2, TWO_PI / 3, 5.0, TWO_PI - 1e-5, TWO_PI - 4e-5, TWO_PI + 5e-13,
+    ]
+
+    @staticmethod
+    def holonomies(angle):
+        generators = psl2z_generators()
+        return [
+            LorentzIsometry.identity(),
+            btz_holonomy_generator(),
+            boost_conjugate(btz_holonomy_generator(), 0.8),
+            generators["S"],
+            generators["T"],
+            boost_tx(0.9),
+            rotation_about_t_axis(angle),
+            rotation_about_t_axis(-angle),
+            rotation_about_t_axis(angle + 1e-8),
+        ]
+
+    def test_agrees_with_the_three_branches(self):
+        angles = self.NAMED_ANGLES + np.random.default_rng(24).uniform(0.0, TWO_PI, 210).tolist()
+        cases = accepted = 0
+        for angle in angles:
+            for holonomy in self.holonomies(angle):
+                for has_line in (False, True):
+                    args = (angle, 1.0, -1.0, 1.0, has_line, holonomy)
+                    want = _accepts(three_branch_reference, *args)
+                    assert _accepts(TubeChart, *args) == want, (angle, has_line, holonomy.linear)
+                    cases, accepted = cases + 1, accepted + want
+        assert cases >= 4_000 and 600 <= accepted <= cases - 3_000
+
+    @pytest.mark.parametrize("offset", [3e-9, 1e-8, -1e-8])
+    def test_own_generator_accepted_near_a_half_turn(self, offset):
+        # near pi the trace resolves the elliptic angle of the cone's own
+        # rotation only to about 1e-16 / |angle - pi|, so it reads pi here; the
+        # three branches compared that with the cone angle and refused the
+        # chart's own generator, the one rule compares like with like
+        angle = math.pi + offset
+        args = (angle, 1.0, -1.0, 1.0, True, massive_holonomy_generator(angle))
+        assert _accepts(TubeChart, *args)
+        assert not _accepts(three_branch_reference, *args)
 
 
 class TestAdjoin:

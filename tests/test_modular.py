@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, Delaunay
 
 from btzgeo.lorentz import classify_isometry, q_form
 from btzgeo.models import TWO_PI
@@ -298,6 +299,32 @@ class TestRayCounts:
         dirs = sample_interior_rays(surf, 300, seed=5)
         counts = [ray_intersection_count(surf, d) for d in dirs]
         assert counts == [1] * 300
+
+    @pytest.mark.parametrize("t0", [0.5, 1.0, 1.7, 2.5])
+    def test_triangles_fill_the_hull_of_their_corners(self, t0):
+        # area(T1) + area(T2) = area(hull): no gap and no overlap, so a ray
+        # through the hull meets the slice exactly once
+        surf = polyhedral_cauchy_surface(t0)
+        e1, e2 = (surf.coords[:, k] - surf.coords[:, 0] for k in (1, 2))
+        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        hull = ConvexHull(surf.coords.reshape(-1, 2))
+        assert areas.sum() == pytest.approx(hull.volume, rel=1e-12, abs=0.0)
+        # the hull is the triangle A, C, INF: B lies on AC
+        names = [n for names in surf.corner_names for n in names]
+        assert sorted({names[i] for i in hull.vertices}) == ["A", "C", "INF"]
+
+    def test_rays_are_drawn_over_the_whole_hull(self):
+        surf = polyhedral_cauchy_surface(1.7)
+        dirs = sample_interior_rays(surf, 20_000, seed=4)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0) and np.all(dirs[:, 0] > 0.0)
+        pts = surf.t0 * dirs[:, 1:] / dirs[:, :1]
+        corners = surf.coords.reshape(-1, 2)
+        assert np.all(Delaunay(corners[ConvexHull(corners).vertices]).find_simplex(pts) >= 0)
+        # both triangles and the neighbourhood of every hull corner are reached
+        in_t1 = Delaunay(surf.coords[0]).find_simplex(pts) >= 0
+        assert 0.4 < in_t1.mean() < 0.6
+        for corner in corners:
+            assert np.min(np.linalg.norm(pts - corner, axis=1)) < 0.05 * surf.t0
 
     def test_scaling_does_not_change_counts(self):
         d = (1.0, -0.2, -0.3)

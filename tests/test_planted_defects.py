@@ -33,6 +33,51 @@ def test_boosted_holonomy_generator_fails_the_holonomy_checks(monkeypatch):
         test_acceptance.test_criterion_02_holonomy_equivariance()
 
 
+def test_perturbed_developing_jacobian_fails_the_pullback_checks(monkeypatch):
+    # the pushforward of d/dth scaled by 1 + 1e-6: the pulled-back metric
+    # gains 2e-6 r^2 in its th-th entry, which only the exact Jacobian sees
+    jacobian = develop.develop_btz_jacobian
+
+    def perturbed(points):
+        jac = jacobian(points)
+        jac[..., 2] *= 1.0 + 1e-6
+        return jac
+
+    monkeypatch.setattr(develop, "develop_btz_jacobian", perturbed)
+    monkeypatch.setattr(test_acceptance, "develop_btz_jacobian", perturbed)
+    failed = _failed(verify.suite_develop(7))
+    assert "btz_pullback_exact" in failed and "btz_pullback_fd" not in failed
+    with pytest.raises(AssertionError, match="criterion 01"):
+        test_acceptance.test_criterion_01_developing_map_isometry()
+
+
+def test_shifted_developing_map_fails_the_image_law(monkeypatch):
+    # a time translation by 1e-6 is still an isometry onto its image, so the
+    # pullback checks pass, but the image leaves the null plane t - x = r
+    develop_btz = develop.develop_btz
+
+    def shifted(points):
+        return develop_btz(points) + np.array([1e-6, 0.0, 0.0])
+
+    monkeypatch.setattr(develop, "develop_btz", shifted)
+    monkeypatch.setattr(test_acceptance, "develop_btz", shifted)
+    failed = _failed(verify.suite_develop(7))
+    assert "image_law_t_minus_x" in failed and "btz_pullback_fd" not in failed
+    with pytest.raises(AssertionError, match="criterion 03"):
+        test_acceptance.test_criterion_03_image_law()
+
+
+def test_inverse_without_eta_fails_inverse_exact(monkeypatch):
+    # L^T is itself a Lorentz isometry (L^T = eta L^-1 eta), so the
+    # constructor accepts it; only the inverse check sees the missing eta
+    def transposed(self):
+        return lorentz.LorentzIsometry(np.swapaxes(self.linear, -1, -2))
+
+    monkeypatch.setattr(lorentz.LorentzIsometry, "inverse", transposed)
+    failed = _failed(verify.suite_lorentz(7))
+    assert failed == {"inverse_exact"}
+
+
 def test_wrong_extremal_chart_form_fails_the_metric_checks(monkeypatch):
     # c_tr = -1.9 in place of -2: every reader of chart_form sees the defect
     form = models.chart_form
@@ -113,6 +158,28 @@ def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):
     assert [modular.ray_intersection_count(slice_, d) for d in rays] == [2] * 50
     (check,) = [c for c in verify.suite_modular(7) if c.name == "rays_hit_once"]
     assert not check.passed
+
+
+def test_gap_between_slice_triangles_fails_rays_hit_once(monkeypatch, capsys):
+    # T2's corner B moved halfway to C: the triangles no longer share the
+    # edge B-INF, and the triangle B, B', INF between them is covered by none
+    build = modular.polyhedral_cauchy_surface
+
+    def gapped(t0):
+        surf = build(t0)
+        coords = surf.coords.copy()
+        coords[1, 1] += 0.5 * (coords[1, 0] - coords[1, 1])
+        return dataclasses.replace(surf, coords=coords)
+
+    monkeypatch.setattr(modular, "polyhedral_cauchy_surface", gapped)
+    monkeypatch.setattr(cli, "polyhedral_cauchy_surface", gapped)
+    slice_ = gapped(1.0)
+    counts = modular.ray_intersection_count(slice_, modular.sample_interior_rays(slice_, 400))
+    assert 0 < np.count_nonzero(counts == 0) < 400 and set(counts.tolist()) <= {0, 1}
+    (check,) = [c for c in verify.suite_modular(7) if c.name == "rays_hit_once"]
+    assert not check.passed
+    assert cli.main(["modular", "rays", "--n", "1000"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
 def test_non_monotone_chain_region_fails_chain_monotone(monkeypatch, capsys):

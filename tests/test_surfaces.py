@@ -600,6 +600,8 @@ _FLAT_TRACE = BoundaryCurve.from_trig()
                  "r_nodes must be positive", id="grid-disc-below-zero"),
     pytest.param(lambda: GraphSurface.from_grid(0.0, [1.0, 0.5], _TH8, np.zeros((2, 8))),
                  "r_nodes must be positive and increasing", id="grid-r-decreasing"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [0.5, 1.0], _TH8, np.zeros((2, 8))),
+                 "need at least 3 radial nodes", id="grid-two-radial-nodes"),
     pytest.param(lambda: BoundaryCurve.from_trig(0.0, [math.nan]),
                  "coefficients must be finite", id="trig-nan"),
     pytest.param(lambda: BoundaryCurve.from_trig(math.inf), "coefficients must be finite",
