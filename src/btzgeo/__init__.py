@@ -9,7 +9,6 @@ moves, and a worked example built from the modular group.
 """
 
 from .causal import (
-    CurveVerdict,
     MeasureConfig,
     ReachabilityGrid,
     VolumeTimeResult,
@@ -20,21 +19,19 @@ from .causal import (
     sample_causal_curves,
     tangent_class,
     validate_causal,
-    validate_causal_batch,
-    volume_time,
     volume_time_report,
 )
 from .develop import (
     RescaleReport,
     boost_conjugate,
     btz_holonomy_generator,
+    deck_generator,
     develop_btz,
     develop_btz_inverse,
     develop_btz_jacobian,
     develop_massive,
     develop_massive_jacobian,
     developing_report,
-    massive_holonomy_generator,
     match_cone_charts,
     rescale_btz,
 )
@@ -107,7 +104,6 @@ from .surfaces import (
     extend_boundary_complete,
     hyperbolic_plane_surface,
     induced_metric,
-    is_spacelike,
     min_spacelike_slack,
     surface_length,
 )

@@ -35,15 +35,20 @@ Volume time
 The volume time ln mu(J-(p)) / mu(J+(p)) counts the points of a shared
 random pool in each cone of p.  The cones are closed, so both hold p
 itself.  Both counts come from one margin taken in p's frame,
-dt = tau - tau_p and dr = r - r_p: a pool point q lies in J+(p) iff
-r_p r phi^2 <= dr (2 dt - dr) with dt >= 0 and dr >= 0 (the relation
-above, closed: at dt = 0 the margin leaves only q = p), and in J-(p) iff p
-lies in J+(q), which is the same inequality with dt <= 0 and dr <= 0 (the
-margin is even under (dt, dr) -> (-dt, -dr)).  A query on the line needs no
-case of its own: at r_p = 0 the inequality reads r (2 dt - r) >= 0, which is
-the exit relation dt >= r / 2.  Only pool points on the line are treated
-apart: they lie in J-(p) iff dt <= -r_p / 2 (the exit from there reaches p)
-and in J+(p) only for p on the line, with dt >= 0.
+dt = tau - tau_p and dr = r - r_p: q is reached when
+r_p r phi^2 <= dr (2 dt - dr), and lies in J+(p) if also dt >= 0 (the
+relation above, closed: at dt = 0 the margin leaves only q = p) and in
+J-(p) if dt <= 0 (p in J+(q): the margin is even under (dt, dr) ->
+(-dt, -dr)).  Once q is reached, dr > 0 forces dt >= dr / 2 > 0 and dr < 0
+forces dt <= dr / 2 < 0, so dt decides only at dr = 0 and the sign of dr
+needs no test.  Nor does the line: at r_p = 0 the inequality is the exit
+relation dt >= r / 2, and a pool point on the line has dr = -r_p and an
+angular term of 0 exactly, so its margin -r_p (2 dt + r_p) >= 0 is the
+exit relation dt <= -r_p / 2 (0 for p on the line: dt alone decides).
+This holds for the computed dt and dr, as 2 dt is exact and a float
+difference has the sign of the exact one; only when both factors of the
+margin are below about 1e-154 can their product round to -0.0 and pass,
+for regular and line points alike.
 
 Counting on a sorted pool.  For r > r_p the relation reads dt >= T with
 
@@ -60,8 +65,8 @@ of r and theta of its points, so its T_lo and T_hi are closed forms of its
 in and are counted by ``searchsorted`` on the key; points short of
 T_lo - eps are surely out; only the band between goes through
 :func:`_count_members`, with the elementwise arithmetic of a full scan.  A
-bucket whose r range comes within 1e-4 of r_p, or that holds a line point
-(minimum r 0), is evaluated whole.
+bucket whose r range comes within 1e-4 of r_p is evaluated whole; a line
+point's threshold T = r_p / 2 is its bucket's r = 0 corner.
 
 Why the bands are exact.  With u = 2^-53, the rounding of the key, of the
 thresholds and of the margin (divided by 2 |dr|) comes to at most
@@ -158,22 +163,6 @@ def tangent_class(alpha, point_or_r, v):
 # =========================================================================
 
 
-@dataclass(frozen=True)
-class CurveVerdict:
-    """Outcome of :func:`validate_causal`.
-
-    ``kind`` is one of ``"valid-chronological"``, ``"valid-causal"`` or
-    ``"violation"``; for violations ``index`` is the first offending segment.
-    """
-
-    kind: str
-    index: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind != "violation"
-
-
 def _segment_codes(alpha, pts, tol):
     """Per-segment codes for sampled curves: 2 chronological, 1 causal, 0 bad.
 
@@ -207,46 +196,37 @@ def _segment_codes(alpha, pts, tol):
     return codes
 
 
-def validate_causal(alpha, samples, tol=_DEFAULT_TOL) -> CurveVerdict:
-    """Classify a finely sampled curve as chronological, causal or invalid.
+def validate_causal(alpha, samples, tol=_DEFAULT_TOL):
+    """Classify an (n, 3) sampled curve of chart points (time, r, theta),
+    n >= 2, or a (..., n, 3) stack of them, as chronological, causal or invalid.
 
-    ``samples`` is an (n, 3) array of chart points (time, r, theta), n >= 2.
-    Every segment must be future directed; the verdict is chronological only
-    when every segment is strictly timelike.  For the extremal tube a
-    regular segment with decreasing radius is a violation outright, which
-    makes "validated causal curves have non-decreasing radius" exact.
+    Returns ``(kind, first_bad)``, a str and an int for one curve and arrays
+    shaped (...) for a stack: ``kind`` is ``"valid-chronological"`` (every
+    segment strictly timelike), ``"valid-causal"`` or ``"violation"``, and
+    ``first_bad`` the first violating segment, or -1.  For the extremal tube
+    a regular segment with decreasing radius is a violation, which makes
+    "validated causal curves have non-decreasing radius" exact.  Non-finite
+    samples, secant forms that overflow, negative radii and invalid cone
+    angles raise ``ValueError``.
     """
     pts = np.asarray(samples, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-        raise ValueError("expected an (n, 3) sample array with n >= 2")
-    kinds, first_bad = validate_causal_batch(alpha, pts[None], tol)
-    return CurveVerdict(str(kinds[0]), int(first_bad[0]) if first_bad[0] >= 0 else None)
-
-
-def validate_causal_batch(alpha, batch, tol=_DEFAULT_TOL):
-    """Vectorized :func:`validate_causal` over a (m, n, 3) sample stack.
-
-    Returns (kinds, first_bad) where ``kinds`` is an array of the verdict
-    strings and ``first_bad[i]`` is the first violating segment or -1.
-    Non-finite samples, secant forms that overflow, negative radii and
-    invalid cone angles raise ``ValueError``.
-    """
-    pts = np.asarray(batch, dtype=float)
-    if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[1] < 2:
-        raise ValueError("expected an (m, n, 3) sample stack")
+    if pts.ndim < 2 or pts.shape[-1] != 3 or pts.shape[-2] < 2:
+        raise ValueError("expected an (n, 3) curve or (..., n, 3) stack with n >= 2")
     if not np.all(np.isfinite(pts)):
         raise ValueError("curve samples must be finite")
     if np.any(pts[..., 1] < 0.0):
         raise ValueError("negative radius in curve samples")
     codes = _segment_codes(alpha, pts, tol)
-    has_bad = np.any(codes == 0, axis=1)
-    first_bad = np.where(has_bad, np.argmax(codes == 0, axis=1), -1)
-    all_chron = np.all(codes == 2, axis=1)
+    has_bad = np.any(codes == 0, axis=-1)
+    first_bad = np.where(has_bad, np.argmax(codes == 0, axis=-1), -1)
+    all_chron = np.all(codes == 2, axis=-1)
     kinds = np.where(
         has_bad,
         "violation",
         np.where(all_chron, "valid-chronological", "valid-causal"),
     )
+    if pts.ndim == 2:
+        return str(kinds), int(first_bad)
     return kinds, first_bad
 
 
@@ -488,12 +468,9 @@ def _count_members(tau, r, th, tp, rp, hp):
     angular = rp * r * _wrap_pi(th - hp) ** 2
     dt = tau - tp
     dr = r - rp
-    on_line = r == 0.0
-    reach = ~on_line & (angular <= dr * (2.0 * dt - dr))
-    past = reach & (dt <= 0.0) & (dr <= 0.0)
-    past |= on_line & (dt <= -0.5 * rp)
-    future = reach & (dt >= 0.0) & (dr >= 0.0)
-    future |= on_line & (dt >= 0.0) & (rp == 0.0)
+    reach = angular <= dr * (2.0 * dt - dr)
+    past = reach & (dt <= 0.0)
+    future = reach & (dt >= 0.0)
     return int(np.count_nonzero(past)), int(np.count_nonzero(future))
 
 
@@ -503,7 +480,7 @@ def _count_pool(pool: _SortedPool, tp, rp, hp):
     the bands go through the elementwise predicate (see the module
     docstring)."""
     future = pool.r_lo > rp + _BAND_DR
-    past = (pool.r_hi < rp - _BAND_DR) & (pool.r_lo > 0.0)
+    past = pool.r_hi < rp - _BAND_DR
     banded = np.flatnonzero((future | past) & pool.banded)
     fut = future[banded]
     # |phi| over each banded bucket; a theta range across phi = +-pi reaches pi
@@ -544,6 +521,14 @@ def _count_pool(pool: _SortedPool, tp, rp, hp):
     return sure_past + past_n, sure_future + future_n
 
 
+def _line_lengths(region: TubeRegion, tp, rp):
+    """Lengths of J-(p) and J+(p) on the line: the radial null exit from line
+    time tp - rp/2 reaches p; only a line point has line points in its future."""
+    a, b = region.t_min, region.t_max
+    past = max(0.0, min(b, tp - 0.5 * rp) - a)
+    return past, (max(0.0, b - max(a, tp)) if rp == 0.0 else 0.0)
+
+
 def volume_time_report(
     region: TubeRegion, point, config: MeasureConfig = MeasureConfig(), seed=0
 ) -> VolumeTimeResult:
@@ -569,12 +554,7 @@ def volume_time_report(
     frac_past, frac_future = past / n, future / n
     se_past = scale * math.sqrt(frac_past * (1.0 - frac_past) / n)
     se_future = scale * math.sqrt(frac_future * (1.0 - frac_future) / n)
-    # exact lengths of J-(p) and J+(p) on the line: the radial null exit
-    # from line time tp - rp/2 reaches p, and only a line point has line
-    # points in its future
-    a, b = region.t_min, region.t_max
-    line_past = max(0.0, min(b, tp - 0.5 * rp) - a)
-    line_future = max(0.0, b - max(a, tp)) if rp == 0.0 else 0.0
+    line_past, line_future = _line_lengths(region, tp, rp)
     mu_past = scale * frac_past + config.weight1 * line_past
     mu_future = scale * frac_future + config.weight1 * line_future
 
@@ -594,13 +574,6 @@ def volume_time_report(
         n_samples=n,
         seed=int(seed),
     )
-
-
-def volume_time(
-    region: TubeRegion, point, config: MeasureConfig = MeasureConfig(), seed=0
-) -> float:
-    """Value-only wrapper around :func:`volume_time_report`."""
-    return volume_time_report(region, point, config, seed).value
 
 
 # =========================================================================

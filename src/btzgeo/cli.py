@@ -277,14 +277,14 @@ def _cmd_verify(args):
 
 
 def _cmd_causal_check(args):
-    verdict = validate_causal(args.alpha, args.curve, tol=args.tol)
+    kind, first_bad = validate_causal(args.alpha, args.curve, tol=args.tol)
     report = {
         "alpha": args.alpha,
         "n_samples": int(args.curve.shape[0]),
-        "kind": verdict.kind,
-        "first_violation": verdict.index,
+        "kind": kind,
+        "first_violation": first_bad if first_bad >= 0 else None,
     }
-    return report, verdict.ok
+    return report, kind != "violation"
 
 
 def _cmd_causal_jplus(args):

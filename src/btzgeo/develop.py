@@ -166,12 +166,6 @@ def develop_massive_jacobian(alpha, points):
     return jac
 
 
-def massive_holonomy_generator(alpha) -> LorentzIsometry:
-    """Deck transformation of the massive cone: rotation by ``alpha``."""
-    _check_massive(alpha)
-    return rotation_about_t_axis(alpha)
-
-
 # =========================================================================
 # Chart comparisons
 # =========================================================================
@@ -246,15 +240,14 @@ def match_cone_charts(alpha, beta) -> bool:
     carry no distinguished line.  Angles are compared to within 1e-9.
     """
     for val in (alpha, beta):
-        if not is_valid_cone_angle(val):
-            raise ValueError(f"invalid cone angle {val!r}")
         if not is_singular(val):
             raise ValueError("regular tubes (angle 2 pi) have no singular line")
     return abs(alpha - beta) <= _MATCH_TOL
 
 
-def _deck_generator(alpha) -> LorentzIsometry:
-    """The alpha-model's own deck generator: parabolic at 0, else the rotation by alpha."""
+def deck_generator(alpha) -> LorentzIsometry:
+    """The alpha-model's own deck generator: :func:`btz_holonomy_generator`
+    at 0, else the rotation by alpha; an invalid angle raises ``ValueError``."""
     if not is_valid_cone_angle(alpha):
         raise ValueError(f"invalid cone angle {alpha!r}")
     return rotation_about_t_axis(alpha) if alpha else btz_holonomy_generator()
@@ -272,7 +265,7 @@ def check_holonomy(alpha, g) -> None:
     The generator is :func:`btz_holonomy_generator` at alpha = 0, else the
     rotation by alpha, whose elliptic angle ``g`` must also match to 1e-9.
     """
-    own = classify_isometry(_deck_generator(alpha))
+    own = classify_isometry(deck_generator(alpha))
     info = classify_isometry(g)
     angle_gap = abs(info.get("angle", 0.0) - own.get("angle", 0.0))
     if info["kind"] != own["kind"] or angle_gap > _MATCH_TOL:
@@ -286,7 +279,7 @@ def developing_report(alpha) -> dict:
     deck parameter pinned to the full 2 pi period (conventions differ in the
     literature); the extremal report adds the fixed null direction.
     """
-    gamma = _deck_generator(alpha)
+    gamma = deck_generator(alpha)
     info = classify_isometry(gamma)
     null = fixed_null_direction(gamma).tolist() if info["kind"] == "parabolic" else None
     report = {

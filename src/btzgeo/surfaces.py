@@ -173,7 +173,8 @@ class GraphSurface:
         values = np.asarray(values, dtype=float)
         if values.shape != (r_nodes.size, theta_nodes.size):
             raise ValueError("values must be shaped (n_r, n_theta)")
-        r_first_ok = r_nodes[0] > 0.0 or (r_nodes[0] == 0.0 and not punctured)
+        # no nodes at all pass here and fail the count check below
+        r_first_ok = not r_nodes.size or r_nodes[0] > 0.0 or (r_nodes[0] == 0.0 and not punctured)
         if not (r_first_ok and np.all(np.diff(r_nodes) > 0.0)):
             raise ValueError("r_nodes must be positive and increasing (0 starts a disc)")
         if r_nodes.size < 3:
@@ -314,11 +315,6 @@ def min_spacelike_slack(surface: GraphSurface, n_r=256, n_theta=256):
     out = np.empty(np.broadcast_shapes(rr2.shape, np.shape(f_r), np.shape(f_th2)))
     min_r2 = float(_r2_delta(rr2, f_r, f_th2, out).min())
     return float(np.divide(out, rr2, out=out).min()), min_r2
-
-
-def is_spacelike(surface: GraphSurface, n_r=256, n_theta=256) -> bool:
-    """Grid check that the spacelike slack is positive on the domain."""
-    return min_spacelike_slack(surface, n_r, n_theta)[0] > 0.0
 
 
 def surface_length(surface: GraphSurface, path):

@@ -164,7 +164,7 @@ def suite_causal(seed):
 
     region = TubeRegion(0.0, 1.0, 0.0, 2.0)
     curves = causal.sample_causal_curves(region, 50, seed=seed)
-    kinds, _ = causal.validate_causal_batch(0.0, curves)
+    kinds, _ = causal.validate_causal(0.0, curves)
     bad = int(np.count_nonzero(kinds == "violation"))
     nondec = bool(np.all(np.diff(curves[:, :, 1], axis=1) >= 0.0))
     rec.quantitative(
@@ -174,7 +174,7 @@ def suite_causal(seed):
 
     config = causal.MeasureConfig(weight3=1.0, weight1=1.0, n_samples=20_000)
     values = [
-        causal.volume_time(region, (t, 0.0, 0.0), config, seed=seed)
+        causal.volume_time_report(region, (t, 0.0, 0.0), config, seed=seed).value
         for t in (0.5, 1.0, 1.5)
     ]
     min_gap = min(values[1] - values[0], values[2] - values[1])
@@ -188,7 +188,7 @@ def suite_causal(seed):
     try:
         # the pool above: no regular point reaches the line, so its count is
         # exactly zero in any pool
-        causal.volume_time(
+        causal.volume_time_report(
             region, (1.0, 0.0, 0.0),
             causal.MeasureConfig(weight1=0.0, n_samples=config.n_samples), seed=seed,
         )
@@ -354,14 +354,14 @@ def suite_extensions(seed):
         "adjoin_remove_roundtrip",
         full.has_singular_line
         and not stripped.has_singular_line
-        and surfaces.is_spacelike(surface, n_r=128, n_theta=64),
+        and surfaces.min_spacelike_slack(surface, n_r=128, n_theta=64)[0] > 0.0,
     )
 
     try:
         extensions.adjoin_btz(
             extensions.TubeChart(
                 math.pi, 1.0, -1.0, 1.0, False,
-                develop.massive_holonomy_generator(math.pi),
+                develop.deck_generator(math.pi),
             )
         )
         ok = False

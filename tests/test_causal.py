@@ -33,8 +33,6 @@ from btzgeo.causal import (
     sample_causal_curves,
     tangent_class,
     validate_causal,
-    validate_causal_batch,
-    volume_time,
     volume_time_report,
 )
 from btzgeo.develop import develop_btz
@@ -205,7 +203,7 @@ class TestConnectingCurve:
         assert curve.shape == (65, 3)
         assert np.all(curve[:, 1] == 0.0)
         assert tuple(curve[0]) == p and tuple(curve[-1]) == q
-        assert validate_causal(0.0, curve).kind == "valid-causal"
+        assert validate_causal(0.0, curve)[0] == "valid-causal"
 
     def test_rejects_unreachable(self):
         with pytest.raises(ValueError):
@@ -255,32 +253,30 @@ def test_massive_points_raise(call):
 class TestValidateCausal:
     def test_chronological(self):
         pts = [[0.0, 1.0, 0.0], [1.0, 1.5, 0.1], [2.0, 2.0, 0.2]]
-        assert validate_causal(0.0, pts).kind == "valid-chronological"
+        assert validate_causal(0.0, pts)[0] == "valid-chronological"
 
     def test_null_vertical_segments_are_causal(self):
         pts = [[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
-        verdict = validate_causal(0.0, pts)
-        assert verdict.kind == "valid-causal"
+        assert validate_causal(0.0, pts) == ("valid-causal", -1)
 
     def test_decreasing_radius_is_violation(self):
         pts = [[0.0, 1.0, 0.0], [1.0, 0.9, 0.0]]
-        verdict = validate_causal(0.0, pts)
-        assert verdict.kind == "violation" and verdict.index == 0
+        assert validate_causal(0.0, pts) == ("violation", 0)
 
     def test_shallow_line_exit_is_violation(self):
         pts = [[0.0, 0.0, 0.0], [0.4, 1.0, 0.0]]
-        assert validate_causal(0.0, pts).kind == "violation"
+        assert validate_causal(0.0, pts)[0] == "violation"
 
     def test_line_segment_is_causal_not_chronological(self):
         pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
-        assert validate_causal(0.0, pts).kind == "valid-causal"
+        assert validate_causal(0.0, pts)[0] == "valid-causal"
 
     def test_massive_chronology(self):
         pts = [[0.0, 1.0, 0.0], [1.0, 1.2, 0.1]]
-        assert validate_causal(math.pi, pts).kind == "valid-chronological"
+        assert validate_causal(math.pi, pts)[0] == "valid-chronological"
         # massive cones allow decreasing radius, unlike the extremal tube
         pts = [[0.0, 1.0, 0.0], [1.0, 0.5, 0.0]]
-        assert validate_causal(math.pi, pts).kind == "valid-chronological"
+        assert validate_causal(math.pi, pts)[0] == "valid-chronological"
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -301,7 +297,7 @@ class TestValidateCausal:
         with pytest.raises(ValueError):
             validate_causal(alpha, pts)
         with pytest.raises(ValueError):
-            validate_causal_batch(alpha, [pts])
+            validate_causal(alpha, [pts])
 
     @pytest.mark.parametrize("alpha, pts", [
         (math.pi, [[0.0, 1.0, 0.0], [1e200, 1.0, 0.0]]),  # -dt^2 overflows
@@ -314,15 +310,35 @@ class TestValidateCausal:
             with pytest.raises(ValueError, match="overflows"):
                 validate_causal(alpha, pts)
             with pytest.raises(ValueError, match="overflows"):
-                validate_causal_batch(alpha, [pts])
+                validate_causal(alpha, [pts])
 
     def test_batch_agrees_with_scalar(self):
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         curves = sample_causal_curves(region, 40, seed=5)
-        kinds, first_bad = validate_causal_batch(0.0, curves)
+        kinds, first_bad = validate_causal(0.0, curves)
         for i, c in enumerate(curves):
-            assert validate_causal(0.0, c).kind == kinds[i]
+            assert validate_causal(0.0, c)[0] == kinds[i]
         assert np.all(first_bad == -1)
+
+    def test_one_curve_gives_a_str_and_an_int(self):
+        kind, first_bad = validate_causal(0.0, [[0.0, 1.0, 0.0], [1.0, 1.5, 0.1]])
+        assert (type(kind), type(first_bad)) == (str, int)
+        assert (kind, first_bad) == ("valid-chronological", -1)
+        kind, first_bad = validate_causal(0.0, [[0.0, 1.0, 0.0], [1.0, 1.5, 0.1], [0.5, 1.5, 0.1]])
+        assert (type(kind), type(first_bad)) == (str, int)
+        assert (kind, first_bad) == ("violation", 1)
+
+    def test_stack_of_stacks_matches_each_curve(self):
+        curves = sample_causal_curves(TubeRegion(0.0, 1.0, 0.0, 2.0), 6, seed=9)
+        curves[1, 5:, 0] -= 0.5  # time runs back at segment 4
+        curves[2, 2, 1] = 0.0  # radius drops to the line at segment 1
+        curves[5] = curves[5, ::-1]  # past directed from segment 0
+        stack = curves.reshape(2, 3, 9, 3)
+        kinds, first_bad = validate_causal(0.0, stack)
+        assert kinds.shape == first_bad.shape == (2, 3)
+        per_curve = [validate_causal(0.0, c) for c in curves]
+        assert list(zip(kinds.ravel(), first_bad.ravel())) == per_curve
+        assert first_bad.ravel().tolist() == [-1, 4, 1, -1, -1, 0]
 
 
 class TestSampledCurves:
@@ -330,7 +346,7 @@ class TestSampledCurves:
         region = TubeRegion(0.0, 1.0, 0.0, 2.0)
         stack = sample_causal_curves(region, 100, seed=3)
         assert stack.shape == (100, 9, 3)
-        kinds, _ = validate_causal_batch(0.0, stack)
+        kinds, _ = validate_causal(0.0, stack)
         assert np.all(kinds != "violation")
         assert np.all(np.diff(stack[:, :, 1], axis=1) >= 0.0)
         # stays inside the open tube
@@ -466,19 +482,19 @@ class TestVolumeTime:
 
     def test_degenerate_without_line_weight(self):
         with pytest.raises(DegenerateMeasureError) as exc:
-            volume_time(self.REGION, (1.0, 0.0, 0.0), MeasureConfig(weight1=0.0))
+            volume_time_report(self.REGION, (1.0, 0.0, 0.0), MeasureConfig(weight1=0.0))
         assert exc.value.side == "past"
         assert exc.value.estimate == 0.0
 
     def test_degenerate_at_bottom_of_region(self):
         config = MeasureConfig(weight3=1.0, weight1=1.0, n_samples=1000)
         with pytest.raises(DegenerateMeasureError):
-            volume_time(self.REGION, (0.0, 0.0, 0.0), config)
+            volume_time_report(self.REGION, (0.0, 0.0, 0.0), config)
 
     def test_strictly_increasing_on_line(self):
         config = MeasureConfig(weight3=1.0, weight1=1.0, n_samples=50_000)
         vals = [
-            volume_time(self.REGION, (t, 0.0, 0.0), config, seed=8)
+            volume_time_report(self.REGION, (t, 0.0, 0.0), config, seed=8).value
             for t in (0.5, 1.0, 1.5)
         ]
         assert vals[0] < vals[1] < vals[2]
@@ -496,12 +512,12 @@ class TestVolumeTime:
 
     def test_point_outside_region_rejected(self):
         with pytest.raises(ValueError):
-            volume_time(self.REGION, (5.0, 0.5, 0.0))
+            volume_time_report(self.REGION, (5.0, 0.5, 0.0))
 
     def test_shared_pool_is_deterministic(self):
         config = MeasureConfig(n_samples=10_000, weight1=1.0)
-        a = volume_time(self.REGION, (1.0, 0.3, 0.0), config, seed=6)
-        b = volume_time(self.REGION, (1.0, 0.3, 0.0), config, seed=6)
+        a = volume_time_report(self.REGION, (1.0, 0.3, 0.0), config, seed=6).value
+        b = volume_time_report(self.REGION, (1.0, 0.3, 0.0), config, seed=6).value
         assert a == b
 
 
@@ -756,10 +772,10 @@ _MASSIVE = TubeRegion(math.pi, 1.0, 0.0, 2.0)
                  "extremal tube regions", id="volume-time-massive"),
     pytest.param(lambda: sample_causal_curves(_MASSIVE, 5),
                  "targets extremal tube regions", id="curves-massive"),
-    pytest.param(lambda: validate_causal_batch(0.0, np.zeros((4, 3))),
-                 "(m, n, 3) sample stack", id="batch-2d"),
-    pytest.param(lambda: validate_causal_batch(0.0, np.zeros((2, 1, 3))),
-                 "(m, n, 3) sample stack", id="batch-one-sample"),
+    pytest.param(lambda: validate_causal(0.0, np.zeros(3)),
+                 "(n, 3) curve or (..., n, 3) stack", id="curve-1d"),
+    pytest.param(lambda: validate_causal(0.0, np.zeros((2, 1, 3))),
+                 "(n, 3) curve or (..., n, 3) stack with n >= 2", id="batch-one-sample"),
     pytest.param(lambda: grid_reachability(n_tau=1), "got (1, 41, 17)", id="grid-one-slice"),
     pytest.param(lambda: grid_reachability(n_r=1), "got (41, 1, 17)", id="grid-one-radius"),
     pytest.param(lambda: grid_reachability(n_theta=0), "n_theta >= 1, got (41, 41, 0)",

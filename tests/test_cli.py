@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btzgeo import cli
-from btzgeo.develop import btz_holonomy_generator, massive_holonomy_generator
+from btzgeo.develop import btz_holonomy_generator, deck_generator
 from btzgeo.surfaces import GraphSurface
 
 
@@ -320,7 +320,7 @@ class TestExtendCommands:
         # a massive chart without its line is not BTZ-extendable (the chart
         # with the line would be returned unchanged by idempotence)
         chart = write_chart(
-            tmp_path / "chart.json", math.pi, False, massive_holonomy_generator(math.pi)
+            tmp_path / "chart.json", math.pi, False, deck_generator(math.pi)
         )
         code, report = run_json(capsys, ["extend", "adjoin", "--chart", str(chart)])
         assert code == 1

@@ -10,18 +10,23 @@ from hypothesis import strategies as st
 from btzgeo.develop import (
     boost_conjugate,
     btz_holonomy_generator,
+    deck_generator,
     develop_btz,
     develop_btz_inverse,
     develop_btz_jacobian,
     develop_massive,
     develop_massive_jacobian,
     developing_report,
-    massive_holonomy_generator,
     match_cone_charts,
     rescale_btz,
 )
 from btzgeo.errors import InvalidIsometryError
-from btzgeo.lorentz import MINKOWSKI_METRIC, classify_isometry, fixed_null_direction
+from btzgeo.lorentz import (
+    MINKOWSKI_METRIC,
+    classify_isometry,
+    fixed_null_direction,
+    rotation_about_t_axis,
+)
 from btzgeo.models import TWO_PI, is_singular, metric_at
 
 RNG = np.random.default_rng(2024)
@@ -129,26 +134,40 @@ class TestDevelopMassive:
     def test_deck_transformation_is_rotation(self):
         alpha = 1.1
         pts = _cover_points(200)
-        gamma = massive_holonomy_generator(alpha)
+        gamma = deck_generator(alpha)
         lhs = develop_massive(alpha, pts + np.array([0.0, 0.0, TWO_PI]))
         rhs = develop_massive(alpha, pts) @ gamma.linear.T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_holonomy_class(self):
-        info = classify_isometry(massive_holonomy_generator(1.1))
+        info = classify_isometry(deck_generator(1.1))
         assert info["kind"] == "elliptic"
         assert abs(info["angle"] - 1.1) < 1e-12
         # reflex cone angles fold onto the principal representative
-        info = classify_isometry(massive_holonomy_generator(5.0))
+        info = classify_isometry(deck_generator(5.0))
         assert abs(info["angle"] - (TWO_PI - 5.0)) < 1e-12
 
     def test_regular_angle_gives_identity(self):
-        info = classify_isometry(massive_holonomy_generator(TWO_PI))
+        info = classify_isometry(deck_generator(TWO_PI))
         assert info["kind"] == "identity"
 
     def test_rejects_extremal(self):
         with pytest.raises(ValueError):
             develop_massive(0.0, [0.0, 1.0, 0.0])
+
+
+class TestDeckGenerator:
+    def test_extremal_is_the_cached_parabolic_generator(self):
+        assert deck_generator(0.0) is btz_holonomy_generator()
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.2, math.pi, 5.0, TWO_PI])
+    def test_massive_is_the_rotation(self, alpha):
+        assert np.array_equal(deck_generator(alpha).linear, rotation_about_t_axis(alpha).linear)
+
+    @pytest.mark.parametrize("alpha", [-1.0, TWO_PI + 0.1, math.nan, math.inf])
+    def test_invalid_angle_raises(self, alpha):
+        with pytest.raises(ValueError, match="invalid cone angle"):
+            deck_generator(alpha)
 
 
 class TestRescale:

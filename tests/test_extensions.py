@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btzgeo.develop import boost_conjugate, btz_holonomy_generator, massive_holonomy_generator
+from btzgeo.develop import boost_conjugate, btz_holonomy_generator, deck_generator
 from btzgeo.errors import NotBTZExtendableError
 from btzgeo.extensions import (
     CHAIN_STAGES,
@@ -31,7 +31,7 @@ def massive_chart(alpha, with_line=True):
         t_min=-1.0,
         t_max=1.0,
         has_singular_line=with_line,
-        holonomy=massive_holonomy_generator(alpha),
+        holonomy=deck_generator(alpha),
     )
 
 
@@ -89,7 +89,7 @@ class TestTubeChartInvariants:
         # regular tube
         near = TWO_PI - 5e-10
         assert is_singular(near)
-        TubeChart(near, 1.0, -1.0, 1.0, True, massive_holonomy_generator(near))
+        TubeChart(near, 1.0, -1.0, 1.0, True, deck_generator(near))
         TubeChart(near, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
         TubeChart(TWO_PI - 5e-13, 1.0, -1.0, 1.0, False, LorentzIsometry.identity())
 
@@ -132,7 +132,7 @@ def three_branch_reference(angle, radius, t_min, t_max, has_line, holonomy):
         if info["kind"] != "identity":
             raise ValueError("regular tubes need trivial holonomy")
     else:
-        generator = classify_isometry(massive_holonomy_generator(angle))
+        generator = classify_isometry(deck_generator(angle))
         expected = min(angle % TWO_PI, TWO_PI - angle % TWO_PI)
         if info["kind"] != generator["kind"] or (
             info["kind"] == "elliptic" and abs(info["angle"] - expected) > 1.0e-9
@@ -188,7 +188,7 @@ class TestOneHolonomyRule:
         # three branches compared that with the cone angle and refused the
         # chart's own generator, the one rule compares like with like
         angle = math.pi + offset
-        args = (angle, 1.0, -1.0, 1.0, True, massive_holonomy_generator(angle))
+        args = (angle, 1.0, -1.0, 1.0, True, deck_generator(angle))
         assert _accepts(TubeChart, *args)
         assert not _accepts(three_branch_reference, *args)
 

@@ -10,7 +10,7 @@ import test_acceptance
 from btzgeo import (
     causal, cli, develop, extensions, lorentz, models, modular, surfaces, verify,
 )
-from btzgeo.errors import GluingMismatchError
+from btzgeo.errors import DegenerateMeasureError, GluingMismatchError
 
 
 def _failed(results):
@@ -142,6 +142,40 @@ def test_grid_without_the_two_step_edge_fails_the_causal_checks(monkeypatch):
     assert check.residual == 729.0
     with pytest.raises(AssertionError, match="criterion 08"):
         test_acceptance.test_criterion_08_causal_structure()
+
+
+def test_line_past_of_zero_length_fails_the_volume_time_checks(monkeypatch, capsys):
+    # no regular point reaches the line, so a line point's past is all line
+    # measure: without its length that past is empty
+    lengths = causal._line_lengths
+
+    def no_past(region, tp, rp):
+        return 0.0, lengths(region, tp, rp)[1]
+
+    monkeypatch.setattr(causal, "_line_lengths", no_past)
+    with pytest.raises(DegenerateMeasureError) as err:
+        test_acceptance.test_criterion_09_volume_time()
+    assert err.value.side == "past"
+    assert cli.main(["verify", "--suite", "causal", "--no-timing"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "DegenerateMeasureError"
+
+
+def test_swapped_cone_counts_fail_the_degenerate_past_checks(monkeypatch):
+    # the band points of J-(p) counted as J+(p) and back: a line point's
+    # band future becomes a nonzero regular past.  Most of each count comes
+    # from the sure points outside the bands, which the swap leaves alone, so
+    # the values stay monotone along curves and in t: volume_time_increasing
+    # and criterion 9's violation count do not see it
+    count = causal._count_members
+
+    def swapped(*args):
+        past, future = count(*args)
+        return future, past
+
+    monkeypatch.setattr(causal, "_count_members", swapped)
+    assert "degenerate_line_past" in _failed(verify.suite_causal(7))
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_acceptance.test_criterion_09_volume_time()
 
 
 def test_overlapping_slice_triangles_fail_rays_hit_once(monkeypatch):

@@ -24,7 +24,6 @@ from btzgeo.surfaces import (
     extend_boundary_complete,
     hyperbolic_plane_surface,
     induced_metric,
-    is_spacelike,
     min_spacelike_slack,
     surface_length,
 )
@@ -487,7 +486,7 @@ class TestGridSurfaces:
         surf = flat_surface(radius=1.0)
         min_delta, min_r2 = min_spacelike_slack(surf, 64, 64)
         assert abs(min_delta - 1.0) < 1e-12
-        assert is_spacelike(surf, 64, 64)
+        assert min_spacelike_slack(surf, 64, 64)[0] > 0.0
 
 
 class TestMinDelta:
@@ -602,6 +601,8 @@ _FLAT_TRACE = BoundaryCurve.from_trig()
                  "r_nodes must be positive and increasing", id="grid-r-decreasing"),
     pytest.param(lambda: GraphSurface.from_grid(0.0, [0.5, 1.0], _TH8, np.zeros((2, 8))),
                  "need at least 3 radial nodes", id="grid-two-radial-nodes"),
+    pytest.param(lambda: GraphSurface.from_grid(0.0, [], _TH8, np.zeros((0, 8))),
+                 "need at least 3 radial nodes", id="grid-no-radial-nodes"),
     pytest.param(lambda: BoundaryCurve.from_trig(0.0, [math.nan]),
                  "coefficients must be finite", id="trig-nan"),
     pytest.param(lambda: BoundaryCurve.from_trig(math.inf), "coefficients must be finite",
